@@ -1,6 +1,6 @@
 (* E18 — the serve daemon under closed-loop load.
 
-   An in-process `strategem serve` instance (ephemeral port, 4 workers)
+   An in-process `strategem serve` instance (ephemeral port, 2 loops)
    answers genealogy queries from N concurrent closed-loop clients, each
    holding one connection and issuing its next query as soon as the
    previous reply lands. A fresh server per row keeps the learning
@@ -22,7 +22,7 @@ let start_server () =
       (fun () ->
         Serve.Server.run
           ~on_listen:(fun p -> Atomic.set port p)
-          { Serve.Server.default_config with port = 0; workers = 4 }
+          { Serve.Server.default_config with port = 0; loops = 2 }
           ~rulebase:rb ~db)
       ()
   in
@@ -97,7 +97,7 @@ let run () =
   in
   Table.print
     ~title:
-      "E18: serve daemon, closed-loop genealogy clients (4 workers, fresh \
+      "E18: serve daemon, closed-loop genealogy clients (2 loops, fresh \
        server per row)"
     ~header:
       [ "clients"; "queries"; "wall s"; "q/s"; "mean ms"; "p95 ms"; "climbs" ]

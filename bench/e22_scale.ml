@@ -1,22 +1,21 @@
 (* E22 — multicore scaling of the serve path.
 
-   The same closed-loop Zipf genealogy mix as E20, served by worker
-   pools of increasing domain counts. Each row starts a fresh in-process
-   `strategem serve` with `workers = d`; the server clamps that to the
-   host's recommended domain count (surplus workers run as systhreads
-   inside the worker domains), so the row records both the requested
-   and the effective domain count — read back from the additive
-   `domains` STATS field. The scaling claim is throughput: with the
-   symbol table, database counters and registry hot paths domain-safe,
-   q/s should rise with domains up to the physical core count.
+   The same closed-loop Zipf genealogy mix as E20, served by reactor
+   fleets of increasing size. Each row starts a fresh in-process
+   `strategem serve` with `loops = d`: d event-loop domains, each
+   running its connections' requests to completion. The row also
+   records the domain count the server reports (the additive `domains`
+   STATS field). The scaling claim is throughput: with the symbol table,
+   database counters and registry hot paths domain-safe, q/s should
+   rise with loops up to the physical core count.
 
    Knobs (environment): E22_QUERIES (total per row, default 4000),
    E22_CLIENTS (default 8), E22_PEOPLE (population, default 20000),
-   E22_DOMAINS (comma list, default "1,2,4,8"), E22_CACHE_MB (default
-   64), E22_JSON (path — when set, machine-readable results are written
-   there), E22_REQUIRE_SPEEDUP (when set non-empty, exit 1 unless the
-   2-domain row's throughput is at least E22_SPEEDUP_MIN (default 1.0)
-   times the 1-domain row's — the CI smoke gate). *)
+   E22_DOMAINS (comma list of loop counts, default "1,2"), E22_CACHE_MB
+   (default 64), E22_JSON (path — when set, machine-readable results are
+   written there), E22_REQUIRE_SPEEDUP (when set non-empty, exit 1
+   unless the 2-loop row's throughput is at least E22_SPEEDUP_MIN
+   (default 1.0) times the 1-loop row's — the CI smoke gate). *)
 
 module D = Datalog
 
@@ -30,11 +29,11 @@ let n_clients () = env_int "E22_CLIENTS" 8
 let n_people () = env_int "E22_PEOPLE" 20_000
 let cache_mb () = env_int "E22_CACHE_MB" 64
 
-let domain_counts () =
+let loop_counts () =
   let spec =
     match Sys.getenv_opt "E22_DOMAINS" with
     | Some s when s <> "" -> s
-    | _ -> "1,2,4,8"
+    | _ -> "1,2"
   in
   String.split_on_char ',' spec
   |> List.filter_map (fun s ->
@@ -57,7 +56,7 @@ let zipf_weights =
   Array.init pool_size (fun i ->
       1.0 /. Float.pow (float_of_int (i + 1)) zipf_s)
 
-let start_server ~workers ~db ~rulebase =
+let start_server ~loops ~db ~rulebase =
   let port = Atomic.make 0 in
   let thread =
     Thread.create
@@ -67,7 +66,7 @@ let start_server ~workers ~db ~rulebase =
           {
             Serve.Server.default_config with
             port = 0;
-            workers;
+            loops;
             cache_mb = cache_mb ();
           }
           ~rulebase ~db)
@@ -109,8 +108,8 @@ let stats_of_server port =
   (get "queries_total", get "domains", get "climbs_total")
 
 type row = {
-  requested : int;   (* --workers value *)
-  effective : int;   (* domains the server actually spawned *)
+  loops : int;  (* --loops value *)
+  domains : int;  (* domains the server reports *)
   queries : int;
   wall_s : float;
   qps : float;
@@ -119,10 +118,10 @@ type row = {
   climbs : int;
 }
 
-let run_row ~workers ~db ~rulebase ~pool =
+let run_row ~loops ~db ~rulebase ~pool =
   let clients = n_clients () in
   let per_client = total_queries () / clients in
-  let thread, port = start_server ~workers ~db ~rulebase in
+  let thread, port = start_server ~loops ~db ~rulebase in
   let results = Array.make clients [||] in
   let t0 = Unix.gettimeofday () in
   let threads =
@@ -134,7 +133,7 @@ let run_row ~workers ~db ~rulebase ~pool =
   in
   List.iter Thread.join threads;
   let wall = Unix.gettimeofday () -. t0 in
-  let _queries_total, effective, climbs = stats_of_server port in
+  let _queries_total, domains, climbs = stats_of_server port in
   Thread.join thread;
   let lats =
     Array.to_list results |> List.concat_map Array.to_list
@@ -143,8 +142,8 @@ let run_row ~workers ~db ~rulebase ~pool =
   let n = Array.length lats in
   let pct p = lats.(Int.min (n - 1) (int_of_float (float_of_int n *. p))) in
   {
-    requested = workers;
-    effective;
+    loops;
+    domains;
     queries = clients * per_client;
     wall_s = wall;
     qps = float_of_int (clients * per_client) /. wall;
@@ -155,9 +154,9 @@ let run_row ~workers ~db ~rulebase ~pool =
 
 let json_of_row r =
   Printf.sprintf
-    "{\"workers\":%d,\"domains\":%d,\"queries\":%d,\"wall_s\":%.3f,\
+    "{\"loops\":%d,\"domains\":%d,\"queries\":%d,\"wall_s\":%.3f,\
      \"qps\":%.1f,\"p50_ms\":%.3f,\"p99_ms\":%.3f,\"climbs\":%d}"
-    r.requested r.effective r.queries r.wall_s r.qps r.p50_ms r.p99_ms
+    r.loops r.domains r.queries r.wall_s r.qps r.p50_ms r.p99_ms
     r.climbs
 
 let run () =
@@ -167,27 +166,26 @@ let run () =
   in
   let db = Workload.Genealogy.db pop in
   let pool = make_pool (Array.of_list (Workload.Genealogy.people pop)) in
-  let counts = domain_counts () in
   let rows =
-    List.map (fun d -> run_row ~workers:d ~db ~rulebase ~pool) counts
+    List.map (fun d -> run_row ~loops:d ~db ~rulebase ~pool) (loop_counts ())
   in
   Table.print
     ~title:
       (Printf.sprintf
-         "E22: serve-path scaling over worker domains (%d people, Zipf-%g \
+         "E22: serve-path scaling over event loops (%d people, Zipf-%g \
           pool of %d, %d clients; host recommends %d domain(s))"
          (n_people ()) zipf_s pool_size (n_clients ())
          (Domain.recommended_domain_count ()))
     ~header:
       [
-        "workers"; "domains"; "queries"; "wall s"; "q/s"; "p50 ms"; "p99 ms";
+        "loops"; "domains"; "queries"; "wall s"; "q/s"; "p50 ms"; "p99 ms";
         "climbs";
       ]
     (List.map
        (fun r ->
          [
-           Table.i r.requested;
-           Table.i r.effective;
+           Table.i r.loops;
+           Table.i r.domains;
            Table.i r.queries;
            Table.f2 r.wall_s;
            Table.f1 r.qps;
@@ -196,32 +194,30 @@ let run () =
            Table.i r.climbs;
          ])
        rows);
-  let find_qps w =
-    List.find_opt (fun r -> r.requested = w) rows |> Option.map (fun r -> r.qps)
+  let find_qps l =
+    List.find_opt (fun r -> r.loops = l) rows |> Option.map (fun r -> r.qps)
   in
   let base = find_qps 1 in
-  (match (base, find_qps 4) with
-  | Some b, Some q4 when b > 0.0 ->
-    Table.note "speedup at 4 workers vs 1: %.2fx throughput\n" (q4 /. b)
-  | _ -> ());
+  let speedup_2 =
+    match (base, find_qps 2) with
+    | Some b, Some q2 when b > 0.0 -> q2 /. b
+    | _ -> 0.0
+  in
+  if speedup_2 > 0.0 then
+    Table.note "speedup at 2 loops vs 1: %.2fx throughput\n" speedup_2;
   (match Sys.getenv_opt "E22_JSON" with
   | None | Some "" -> ()
   | Some path ->
-    let speedup_4 =
-      match (base, find_qps 4) with
-      | Some b, Some q4 when b > 0.0 -> q4 /. b
-      | _ -> 0.0
-    in
     let oc = open_out path in
     Printf.fprintf oc
       "{\"experiment\":\"e22\",\"queries\":%d,\"clients\":%d,\"people\":%d,\
        \"pool\":%d,\"zipf_s\":%g,\"cache_mb\":%d,\
-       \"recommended_domains\":%d,\"rows\":[%s],\"speedup_4_vs_1\":%.2f}\n"
+       \"recommended_domains\":%d,\"rows\":[%s],\"speedup_2_vs_1\":%.2f}\n"
       (total_queries ()) (n_clients ()) (n_people ()) pool_size zipf_s
       (cache_mb ())
       (Domain.recommended_domain_count ())
       (String.concat "," (List.map json_of_row rows))
-      speedup_4;
+      speedup_2;
     close_out oc;
     Table.note "wrote %s\n" path);
   match Sys.getenv_opt "E22_REQUIRE_SPEEDUP" with
@@ -235,11 +231,10 @@ let run () =
     match (base, find_qps 2) with
     | Some b, Some q2 when q2 < b *. min_ratio ->
       Printf.eprintf
-        "E22: 2-domain throughput %.1f q/s below %.2fx the 1-domain %.1f \
-         q/s\n"
+        "E22: 2-loop throughput %.1f q/s below %.2fx the 1-loop %.1f q/s\n"
         q2 min_ratio b;
       exit 1
     | Some _, Some _ -> Table.note "speedup gate passed\n"
     | _ ->
-      Printf.eprintf "E22: speedup gate needs 1- and 2-worker rows\n";
+      Printf.eprintf "E22: speedup gate needs 1- and 2-loop rows\n";
       exit 1)

@@ -505,7 +505,7 @@ let host_arg =
     & opt string "127.0.0.1"
     & info [ "host" ] ~docv:"ADDR" ~doc:"Address to bind/connect to.")
 
-let run_serve file host port workers queue_depth max_conns state_dir
+let run_serve file host port max_conns state_dir
     snapshot_interval delta learner trace_sample cache_mb no_cache subsume
     metrics_port log_level log_file slow_query_ms data_dir buffer_pages loops
     idle_timeout_s max_conns_per_ip max_write_buf_mb max_write_total_mb
@@ -541,8 +541,6 @@ let run_serve file host port workers queue_depth max_conns state_dir
     {
       Serve.Server.host;
       port;
-      workers;
-      queue_depth;
       max_conns;
       state_dir;
       snapshot_interval;
@@ -567,8 +565,8 @@ let run_serve file host port workers queue_depth max_conns state_dir
   in
   Serve.Server.run ~handle_signals:true
     ~on_listen:(fun port ->
-      Fmt.pr "strategem serve: listening on %s:%d (%d workers)@." host port
-        workers)
+      Fmt.pr "strategem serve: listening on %s:%d (%d loops)@." host port
+        (if loops = 0 then Serve.Server.default_loops () else loops))
     ~on_metrics_listen:(fun mport ->
       Fmt.pr "strategem serve: metrics on %s:%d@." host mport)
     config ~rulebase ~db;
@@ -580,23 +578,6 @@ let serve_cmd =
     Arg.(
       value & opt int 4280
       & info [ "port" ] ~docv:"PORT" ~doc:"TCP port (0 picks one).")
-  in
-  let workers =
-    Arg.(
-      value & opt int 4
-      & info [ "workers"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker pool size. Workers run as parallel OCaml domains, \
-             clamped to the host's recommended domain count; surplus \
-             workers run as threads inside the worker domains.")
-  in
-  let queue_depth =
-    Arg.(
-      value & opt int 64
-      & info [ "queue-depth" ] ~docv:"N"
-          ~doc:
-            "Admission queue bound, in requests; requests dispatched \
-             beyond it are shed with BUSY.")
   in
   let max_conns =
     Arg.(
@@ -752,9 +733,9 @@ let serve_cmd =
       & info [ "loops" ] ~docv:"N"
           ~doc:
             "Event loops in the reactor fleet, one domain each with a \
-             private epoll instance; new connections are distributed by \
-             least connections. 0 (the default) matches the effective \
-             worker-domain count.")
+             private epoll instance, each running its connections' \
+             requests to completion; new connections are distributed by \
+             least connections. 0 (the default) runs one loop per core.")
   in
   let idle_timeout_s =
     Arg.(
@@ -818,7 +799,7 @@ let serve_cmd =
       & info [ "retain" ] ~docv:"N"
           ~doc:
             "Tail-retained trace buffer size per loop: the full span \
-             trees of the last N slow / error / shed requests, served \
+             trees of the last N slow / error requests, served \
              by FLIGHT and /debug/flight. 0 disables retention.")
   in
   Cmd.v
@@ -827,8 +808,7 @@ let serve_cmd =
          "Serve queries over TCP, learning a better strategy from every \
           answered query.")
     Term.(
-      const run_serve $ file_arg $ host_arg $ port $ workers $ queue_depth
-      $ max_conns $ state_dir $ snapshot_interval $ delta_arg $ learner
+      const run_serve $ file_arg $ host_arg $ port $ max_conns $ state_dir $ snapshot_interval $ delta_arg $ learner
       $ trace_sample $ cache_mb $ no_cache $ subsume $ metrics_port $ log_level
       $ log_file $ slow_query_ms $ data_dir $ buffer_pages $ loops
       $ idle_timeout_s $ max_conns_per_ip $ max_write_buf_mb
@@ -910,15 +890,13 @@ let client_cmd =
   let proto =
     Arg.(
       value
-      & opt (enum [ ("lines", `Lines); ("v4", `V4); ("auto", `Auto) ]) `Lines
+      & opt (enum [ ("lines", `Lines); ("v4", `V4) ]) `Lines
       & info [ "proto" ] ~docv:"PROTO"
           ~doc:
             "Wire dialect: lines (default, the v2/v3 line protocol, \
-             replies printed verbatim), v4 (framed protocol v4 — all \
+             replies printed verbatim) or v4 (framed protocol v4 — all \
              requests are pipelined before any response is read, and \
-             replies print as '#<id> <line>' sorted by request id), or \
-             auto (negotiate v4, falling back to lines on an older \
-             server).")
+             replies print as '#<id> <line>' sorted by request id).")
   in
   let commands =
     Arg.(
@@ -1100,14 +1078,14 @@ let watch_tick ~host ~port =
         Option.value ~default:0.0
           (solo_value samples "strategem_cache_derived_hits_total")
       in
-      Fmt.pr "uptime %.0fs  queries %.0f  climbs %.0f  cache hits %s  queue %.0f@."
+      Fmt.pr "uptime %.0fs  queries %.0f  climbs %.0f  cache hits %s  conns %.0f@."
         (Option.value ~default:0.0 (solo_value samples "strategem_uptime_seconds"))
         (List.fold_left (fun acc f -> acc +. v "strategem_queries_total" f) 0.0 forms)
         (List.fold_left (fun acc f -> acc +. v "strategem_climbs_total" f) 0.0 forms)
         (if derived_hits > 0.0 then
            Printf.sprintf "%.0f+%.0fd" cache_hits derived_hits
          else Printf.sprintf "%.0f" cache_hits)
-        (Option.value ~default:0.0 (solo_value samples "strategem_queue_depth"));
+        (Option.value ~default:0.0 (solo_value samples "strategem_conns_open"));
       (* Paged-store line, only when the daemon serves from one. *)
       (match solo_value samples "strategem_store_enabled" with
       | Some v when v > 0.0 ->

@@ -81,17 +81,18 @@ val code_accept : int
 (** [close] — connection closed; [a] = 1 if killed. *)
 val code_close : int
 
-(** [shed] — request/conn shed with BUSY; [a] = 1 at accept. *)
+(** [shed] — reserved: the event of the retired request-level BUSY
+    shedding, kept so old dumps still decode; not emitted. *)
 val code_shed : int
 
-(** [request] — request parsed; [ts] = parse time. *)
+(** [request] — the read that carried the request; [ts] = read time. *)
 val code_request : int
 
-(** [enqueue] — admitted to the queue; [ts] = enqueue time. *)
+(** [enqueue] — parsed out of the read, queued behind the read's earlier
+    requests; [ts] = parse time. *)
 val code_enqueue : int
 
-(** [worker] — picked up by a worker; [a]/[b] = WAL-fsync / page-read
-    wait ns. *)
+(** [worker] — inline execution started; [b] = page-read wait ns. *)
 val code_worker : int
 
 (** [respond] — response enqueued; [a] = 1 if error reply. *)

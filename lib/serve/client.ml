@@ -1,18 +1,16 @@
-type proto = [ `Auto | `Lines | `V4 ]
+type proto = [ `Lines | `V4 ]
 
 type t = {
   fd : Unix.file_descr;
   ic : in_channel;
   oc : out_channel;
-  mutable proto : [ `Lines | `V4 ];
+  proto : proto;
   mutable seq : int;  (* next v4 request id *)
   (* v4 responses read while waiting for a specific id *)
   stash : (int, Frame.t) Hashtbl.t;
 }
 
-let banner_v4_prefix = Printf.sprintf "HELLO strategem/%d" Frame.version
-
-let connect ?(proto = `Auto) ?(host = "127.0.0.1") ~port () =
+let connect ?(proto = `V4) ?(host = "127.0.0.1") ~port () =
   let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   (match
      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port))
@@ -23,34 +21,14 @@ let connect ?(proto = `Auto) ?(host = "127.0.0.1") ~port () =
     raise e);
   (try Unix.setsockopt fd Unix.TCP_NODELAY true
    with Unix.Unix_error _ -> ());
-  let t =
-    {
-      fd;
-      ic = Unix.in_channel_of_descr fd;
-      oc = Unix.out_channel_of_descr fd;
-      proto = `Lines;
-      seq = 1;
-      stash = Hashtbl.create 8;
-    }
-  in
-  (match proto with
-  | `Lines -> ()
-  | `V4 -> t.proto <- `V4
-  | `Auto -> (
-    (* The upgrade line: a v4-capable server replies with its framed
-       banner and switches the connection to frames; an older server
-       rejects the argument with ERR and stays on lines. Either way
-       exactly one reply line is consumed here. *)
-    output_string t.oc "HELLO V4\n";
-    flush t.oc;
-    match input_line t.ic with
-    | line when String.starts_with ~prefix:banner_v4_prefix line ->
-      t.proto <- `V4
-    | _ -> ()
-    | exception End_of_file ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      failwith "Client.connect: server closed during HELLO V4 handshake"));
-  t
+  {
+    fd;
+    ic = Unix.in_channel_of_descr fd;
+    oc = Unix.out_channel_of_descr fd;
+    proto;
+    seq = 1;
+    stash = Hashtbl.create 8;
+  }
 
 let protocol t = t.proto
 

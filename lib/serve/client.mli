@@ -6,29 +6,26 @@
     one request line, read the reply (lines until [END] for multi-line
     verbs). [`V4] is the framed protocol ({!Frame}): requests carry
     client-chosen ids, many can be posted before any response is read
-    ({!post}/{!recv}), and responses may arrive out of order. [`Auto]
-    (the default) negotiates: it sends the [HELLO V4] upgrade line and
-    switches to frames when the server answers with the v4 banner — an
-    older server instead answers [ERR malformed HELLO takes no argument]
-    and the client quietly stays on the line dialect, so [`Auto] is safe
-    against any historical daemon.
+    ({!post}/{!recv}), and responses may arrive out of order. The
+    daemon tells the dialects apart by the first byte, so neither needs
+    a handshake.
 
     Replies are returned dialect-independently as the reply lines the
     line protocol would print ([ERR]/[BUSY]/[BYE] reconstructed from
-    response frames), so callers never branch on the negotiated
-    protocol. Not thread-safe; one client per thread. *)
+    response frames), so callers never branch on the protocol. Not
+    thread-safe; one client per thread. *)
 
 type t
 
-type proto = [ `Auto | `Lines | `V4 ]
+type proto = [ `Lines | `V4 ]
 
-(** [connect ?proto ?host ~port ()] — TCP connect (with [TCP_NODELAY])
-    and, under [`Auto], run the upgrade handshake. Default host
-    ["127.0.0.1"]. Raises [Unix.Unix_error] on connection failure. *)
+(** [connect ?proto ?host ~port ()] — TCP connect (with [TCP_NODELAY]).
+    Default dialect [`V4], default host ["127.0.0.1"]. Raises
+    [Unix.Unix_error] on connection failure. *)
 val connect : ?proto:proto -> ?host:string -> port:int -> unit -> t
 
-(** The dialect actually in use (after [`Auto] negotiation). *)
-val protocol : t -> [ `Lines | `V4 ]
+(** The dialect in use. *)
+val protocol : t -> proto
 
 (** {2 Blocking request/response} *)
 

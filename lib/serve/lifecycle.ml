@@ -13,10 +13,7 @@ type t = {
   mutable lc_respond_ns : int64;
   mutable lc_flush_ns : int64;
   mutable lc_backend : backend;
-  mutable lc_shed : bool;
   mutable lc_error : bool;
-  mutable lc_wal_wait_ns : int;
-  mutable lc_wal_syncs : int;
   mutable lc_page_wait_ns : int;
   mutable lc_page_reads : int;
   mutable lc_exec : Trace.span option;
@@ -38,10 +35,7 @@ let create ~conn ~rid ~loop ~framed ~label ~accept_ns ~frame_ns =
     lc_respond_ns = 0L;
     lc_flush_ns = 0L;
     lc_backend = B_none;
-    lc_shed = false;
     lc_error = false;
-    lc_wal_wait_ns = 0;
-    lc_wal_syncs = 0;
     lc_page_wait_ns = 0;
     lc_page_reads = 0;
     lc_exec = None;
@@ -54,10 +48,6 @@ let current_key : t option Domain.DLS.key =
 
 let set_current lc = Domain.DLS.set current_key lc
 let current () = Domain.DLS.get current_key
-
-let add_wal_wait lc ns =
-  lc.lc_wal_wait_ns <- lc.lc_wal_wait_ns + ns;
-  lc.lc_wal_syncs <- lc.lc_wal_syncs + 1
 
 let add_page_wait lc ns =
   lc.lc_page_wait_ns <- lc.lc_page_wait_ns + ns;
@@ -93,19 +83,13 @@ let to_span lc =
            ~children kind)
   in
   let backend_children =
-    let wait ~kind ~ns ~count =
-      if count = 0 then None
-      else
-        Some
-          (Trace.span ~kind ~start_ns:lc.lc_worker_ns
-             ~wall_ns:(Int64.of_int ns)
-             ~attrs:[ loop_attr; ("count", string_of_int count) ]
-             kind)
-    in
-    List.filter_map Fun.id
+    if lc.lc_page_reads = 0 then []
+    else
       [
-        wait ~kind:"wal_fsync" ~ns:lc.lc_wal_wait_ns ~count:lc.lc_wal_syncs;
-        wait ~kind:"page_read" ~ns:lc.lc_page_wait_ns ~count:lc.lc_page_reads;
+        Trace.span ~kind:"page_read" ~start_ns:lc.lc_worker_ns
+          ~wall_ns:(Int64.of_int lc.lc_page_wait_ns)
+          ~attrs:[ loop_attr; ("count", string_of_int lc.lc_page_reads) ]
+          "page_read";
       ]
   in
   let worker_children =
@@ -134,7 +118,6 @@ let to_span lc =
         stage ~kind:"flush" ~from:lc.lc_respond_ns ~till:lc.lc_flush_ns ();
       ]
   in
-  let flag b = if b then "true" else "false" in
   Trace.span ~kind:"request" ~start_ns:lc.lc_frame_ns ~wall_ns:(total_ns lc)
     ~attrs:
       [
@@ -143,7 +126,6 @@ let to_span lc =
         ("rid", string_of_int lc.lc_rid);
         ("proto", if lc.lc_framed then "v4" else "line");
         ("backend", backend_name lc.lc_backend);
-        ("shed", flag lc.lc_shed);
-        ("error", flag lc.lc_error);
+        ("error", if lc.lc_error then "true" else "false");
       ]
     ~children lc.lc_label

@@ -1,23 +1,20 @@
 (** One request's lifecycle record: the timestamps and waits a request
-    accumulates on its way through the reactor fleet —
-    accept → frame (parse) → queue (admission) → worker (exec) →
-    respond → flush — plus the store waits (WAL fsync, buffer-pool page
-    faults) attributed to it while a worker ran it.
+    accumulates on the event loop that owns its connection —
+    accept → frame (read → parse) → queue (head-of-line wait behind
+    earlier requests of the same read) → worker (inline execution) →
+    respond → flush — plus the buffer-pool page faults attributed to it
+    while it executed.
 
-    A record is allocated by the owning event loop when the request is
-    parsed, carried inside the job through the admission queue, stamped
-    by the worker, and {e finalized back on the owning loop} once the
-    response bytes have drained to the socket — so every flight-recorder
-    write and histogram observation for it happens on the loop thread.
-    When lifecycle telemetry is off ([--no-lifecycle]) no record exists
-    and every touch point is one [Option] test.
-
-    Mutability is single-owner at each phase (loop → worker → loop);
-    nothing here is locked. The ambient {!current} pointer (for store
-    wait attribution from layers that cannot see the request) is
-    domain-local: surplus workers running as systhreads inside a worker
-    domain can misattribute a concurrent wait to their domain-mate's
-    request — an accepted imprecision, documented in docs/TRACING.md. *)
+    A record is allocated by the owning loop when the request starts
+    executing (from the read and parse stamps taken earlier) and is
+    finalized by the same loop once the response bytes have drained to
+    the socket, so every flight-recorder write and histogram observation
+    for it happens on one thread and nothing here is locked. When
+    lifecycle telemetry is off ([--no-lifecycle]) no record exists and
+    every touch point is one [Option] test. The ambient {!current}
+    pointer (for page-fault attribution from layers that cannot see the
+    request) is domain-local; each loop is its own domain and executes
+    one request at a time, so attribution is exact. *)
 
 (** [B_cache_derived]: answered from the cache by subsumption (filtering
     a more general entry's answer set), not an exact key. *)
@@ -30,16 +27,13 @@ type t = {
   lc_framed : bool;         (** v4 frame (vs line dialect) *)
   lc_label : string;        (** verb word, plus the atom for queries *)
   lc_accept_ns : int64;     (** the connection's accept time *)
-  lc_frame_ns : int64;      (** request parsed out of the read buffer *)
-  mutable lc_queue_ns : int64;    (** admitted to the queue (0 = never) *)
-  mutable lc_worker_ns : int64;   (** picked up by a worker (0 = never) *)
+  lc_frame_ns : int64;      (** the read that carried the request *)
+  mutable lc_queue_ns : int64;    (** parsed out of the read buffer *)
+  mutable lc_worker_ns : int64;   (** inline execution started *)
   mutable lc_respond_ns : int64;  (** response enqueued (0 = never) *)
   mutable lc_flush_ns : int64;    (** response drained (0 = never) *)
   mutable lc_backend : backend;
-  mutable lc_shed : bool;         (** answered BUSY by admission *)
   mutable lc_error : bool;        (** error reply, or the conn died *)
-  mutable lc_wal_wait_ns : int;   (** WAL-fsync wait while executing *)
-  mutable lc_wal_syncs : int;
   mutable lc_page_wait_ns : int;  (** page-fault read wait *)
   mutable lc_page_reads : int;
   mutable lc_exec : Trace.span option;
@@ -58,15 +52,14 @@ val create :
   frame_ns:int64 ->
   t
 
-(** {1 Ambient record (store-wait attribution)} *)
+(** {1 Ambient record (page-fault attribution)} *)
 
-(** Set by the worker for the duration of one request's execution; read
+(** Set by the loop for the duration of one request's execution; read
     by the {!Store.Hooks} observer on the same domain. *)
 val set_current : t option -> unit
 
 val current : unit -> t option
 
-val add_wal_wait : t -> int -> unit
 val add_page_wait : t -> int -> unit
 
 (** {1 Reads} *)
@@ -85,16 +78,15 @@ val backend_name : backend -> string
     {v
       <label> [request]
       ├── accept  (instant: the connection's accept time)
-      ├── frame   (parse → enqueue)
-      ├── queue   (enqueue → worker pickup)
-      ├── worker  (pickup → response enqueued)
+      ├── frame   (read → this request parsed)
+      ├── queue   (parsed → execution starts, behind earlier requests
+      │            of the same read)
+      ├── worker  (execution → response enqueued)
       │   ├── cache | cache_derived | sld   (the backend that answered)
-      │   │   ├── wal_fsync      (when the store waited)
-      │   │   └── page_read
+      │   │   └── page_read  (when the store faulted pages in)
       │   └── <armed exec tree>  (when the request was traced)
       └── flush   (response enqueued → bytes drained)
     v}
 
-    Stages never reached (a shed request has no queue/worker) are
-    omitted. *)
+    Stages never reached are omitted. *)
 val to_span : t -> Trace.span

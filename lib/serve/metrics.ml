@@ -92,10 +92,6 @@ type t = {
   traces : Trace.Ring.t option;
   mutable cache_provider : (unit -> cache_stats) option;
   mutable store_provider : (unit -> store_stats) option;
-  (* Window high-water accumulator, consumed (reset) by whichever of
-     STATS or a /metrics scrape reads it first — "max depth since the
-     last read". The all-time high-water gauge never resets. *)
-  window_hwm : float Atomic.t;
   g_domains : R.Gauge.t;
   f_domain_conns : R.Counter.fam;
   f_domain_busy_us : R.Counter.fam;
@@ -107,9 +103,6 @@ type t = {
   c_forms_loaded : R.Counter.t;
   g_uptime : R.Gauge.t;
   g_forms_active : R.Gauge.t;
-  g_queue_depth : R.Gauge.t;
-  g_queue_hwm : R.Gauge.t;
-  g_queue_hwm_window : R.Gauge.t;
   g_conns_open : R.Gauge.t;
   g_pipeline_depth : R.Gauge.t;
   g_pipeline_hwm : R.Gauge.t;
@@ -119,7 +112,7 @@ type t = {
   f_loop_pipeline : R.Gauge.fam;
   f_stage_latency : R.Histogram.fam;
   f_retained : R.Counter.fam;
-  (* the reason set is closed (slow / error / shed): pre-labeled handles
+  (* the reason set is closed (slow / error): pre-labeled handles
      so the per-retention hot path skips the family mutex + hash *)
   retained_by : (string * R.Counter.t) list;
   f_retained_exemplar : R.Gauge.fam;
@@ -131,7 +124,6 @@ type t = {
   c_idle_closed : R.Counter.t;
   c_ip_limited : R.Counter.t;
   mutable backend : string;  (* reactor backend: "epoll" / "select" *)
-  h_queue_wait : R.Histogram.t;
   g_cache_enabled : R.Gauge.t;
   c_cache_hits : R.Counter.t;
   c_cache_misses : R.Counter.t;
@@ -226,7 +218,7 @@ let create ?(trace_capacity = 0) () =
     R.Counter.v reg
       ~help:
         "Request traces retained by tail-based sampling, by reason \
-         (slow / error / shed)"
+         (slow / error)"
       ~labels:[ "reason" ] "strategem_traces_retained_total"
   in
   let t =
@@ -242,16 +234,15 @@ let create ?(trace_capacity = 0) () =
          else None);
       cache_provider = None;
       store_provider = None;
-      window_hwm = Atomic.make 0.0;
       g_domains =
-        gauge "Worker domains running (after clamping to the host's \
-               recommended domain count)" "strategem_domains";
+        gauge "Domains serving requests (one per event loop)"
+          "strategem_domains";
       f_domain_conns =
-        R.Counter.v reg ~help:"Connections served, per worker domain"
+        R.Counter.v reg ~help:"Requests served, per loop domain"
           ~labels:[ "domain" ] "strategem_domain_connections_total";
       f_domain_busy_us =
         R.Counter.v reg
-          ~help:"Microseconds spent serving connections, per worker domain"
+          ~help:"Microseconds spent executing requests, per loop domain"
           ~labels:[ "domain" ] "strategem_domain_busy_us_total";
       c_connections =
         counter "Connections admitted" "strategem_connections_total";
@@ -268,19 +259,11 @@ let create ?(trace_capacity = 0) () =
       g_uptime = gauge "Seconds since the daemon started" "strategem_uptime_seconds";
       g_forms_active =
         gauge "Query forms with a live learner" "strategem_forms_active";
-      g_queue_depth =
-        gauge "Admission-queue depth now" "strategem_queue_depth";
-      g_queue_hwm =
-        gauge "All-time admission-queue high water"
-          "strategem_queue_depth_high_water";
-      g_queue_hwm_window =
-        gauge "Admission-queue high water since the last STATS/scrape"
-          "strategem_queue_depth_high_water_window";
       g_conns_open = gauge "Connections currently open" "strategem_conns_open";
       g_pipeline_depth =
         gauge
-          "Requests in flight across all connections (dispatched, \
-           response not yet enqueued)"
+          "Requests in flight across all connections (parsed, response \
+           not yet enqueued)"
           "strategem_pipeline_depth";
       g_pipeline_hwm =
         gauge "All-time high water of in-flight requests"
@@ -296,7 +279,7 @@ let create ?(trace_capacity = 0) () =
           ~labels:[ "loop" ] "strategem_loop_wakeups_total";
       f_loop_pipeline =
         R.Gauge.v reg
-          ~help:"Requests in flight on this loop's connections"
+          ~help:"Requests of the read this loop is executing"
           ~labels:[ "loop" ] "strategem_loop_pipeline_depth";
       f_stage_latency =
         R.Histogram.v reg
@@ -308,7 +291,7 @@ let create ?(trace_capacity = 0) () =
       retained_by =
         List.map
           (fun reason -> (reason, R.Counter.labels f_retained [ reason ]))
-          [ "slow"; "error"; "shed" ];
+          [ "slow"; "error" ];
       f_retained_exemplar =
         R.Gauge.v reg
           ~help:
@@ -334,10 +317,6 @@ let create ?(trace_capacity = 0) () =
         counter "Connections refused by the per-IP cap"
           "strategem_ip_limited_total";
       backend = "";
-      h_queue_wait =
-        R.Histogram.solo
-          (R.Histogram.v reg ~help:"Admission-queue wait (microseconds)"
-             "strategem_queue_wait_us");
       g_cache_enabled =
         gauge "1 when the answer cache is on" "strategem_cache_enabled";
       c_cache_hits = counter "Answer-cache hits" "strategem_cache_hits_total";
@@ -468,7 +447,6 @@ let create ?(trace_capacity = 0) () =
       let sprovider = t.store_provider in
       Mutex.unlock t.lock;
       R.Gauge.set t.g_forms_active (float_of_int n_forms);
-      R.Gauge.set t.g_queue_hwm_window (Atomic.exchange t.window_hwm 0.0);
       (* The providers have their own locks; called outside ours. *)
       (match provider with Some f -> mirror_cache t (f ()) | None -> ());
       match sprovider with Some f -> mirror_store t (f ()) | None -> ());
@@ -507,7 +485,6 @@ let form_handles t key =
         Hashtbl.add t.forms key fh;
         fh)
 
-let set_domains t n = R.Gauge.set t.g_domains (float_of_int n)
 let domains t = int_of_float (R.Gauge.value t.g_domains)
 
 type domain_handles = {
@@ -515,8 +492,8 @@ type domain_handles = {
   dh_busy_us : R.Counter.t;
 }
 
-(* Cached by each worker at spawn, so the per-connection updates touch
-   only the two (uncontended, per-domain) counters. *)
+(* Cached by each loop at spawn, so the per-request updates touch only
+   the two (uncontended, per-domain) counters. *)
 let domain_handles t ~domain =
   let l = [ string_of_int domain ] in
   {
@@ -528,7 +505,11 @@ let domain_served dh ~busy_us =
   R.Counter.inc dh.dh_connections;
   R.Counter.add dh.dh_busy_us (int_of_float busy_us)
 
-let set_loops t n = R.Gauge.set t.g_loops (float_of_int n)
+(* The loops are the domains: one count feeds both gauges. *)
+let set_loops t n =
+  R.Gauge.set t.g_loops (float_of_int n);
+  R.Gauge.set t.g_domains (float_of_int n)
+
 let loops t = int_of_float (R.Gauge.value t.g_loops)
 
 let loop_handles t ~loop =
@@ -616,17 +597,6 @@ let snapshot_saved t ~forms =
 
 let forms_loaded t n = R.Counter.add t.c_forms_loaded n
 
-let observe_queue_depth t d =
-  let d = float_of_int d in
-  R.Gauge.set t.g_queue_depth d;
-  R.Gauge.set_max t.g_queue_hwm d;
-  let rec bump () =
-    let cur = Atomic.get t.window_hwm in
-    if d > cur && not (Atomic.compare_and_set t.window_hwm cur d) then bump ()
-  in
-  bump ()
-
-let queue_waited t ~wait_us = R.Histogram.observe t.h_queue_wait wait_us
 let cache_filter t us = R.Histogram.observe t.h_cache_filter us
 
 let trace_sampling t = t.traces <> None
@@ -699,7 +669,6 @@ let climbs_total t =
   sum_forms (sorted_forms t) (fun fh -> R.Counter.value fh.c_climbs)
 
 let busy_total t = R.Counter.value t.c_busy
-let queue_high_water t = int_of_float (R.Gauge.value t.g_queue_hwm)
 
 let cache_lines cs =
   [
@@ -750,13 +719,11 @@ let store_lines (ss : store_stats) =
 
 (* Every STATS field and its order is part of the frozen text contract;
    values are read out of the registry instruments. New fields are only
-   ever appended next to their kin (queue_depth and
-   queue_high_water_window arrived after queue_high_water). *)
+   ever appended next to their kin. *)
 let render_text t =
   let cache = cache_stats t in
   let store = store_stats t in
   let forms = sorted_forms t in
-  let qw = R.Histogram.snapshot t.h_queue_wait in
   let counters =
     [
       Printf.sprintf "uptime_seconds %d"
@@ -773,16 +740,7 @@ let render_text t =
       Printf.sprintf "snapshots_total %d" (R.Counter.value t.c_snapshots);
       Printf.sprintf "forms_loaded %d" (R.Counter.value t.c_forms_loaded);
       Printf.sprintf "forms_active %d" (List.length forms);
-      Printf.sprintf "queue_high_water %d"
-        (int_of_float (R.Gauge.value t.g_queue_hwm));
-      Printf.sprintf "queue_depth %d"
-        (int_of_float (R.Gauge.value t.g_queue_depth));
-      Printf.sprintf "queue_high_water_window %d"
-        (int_of_float (Atomic.exchange t.window_hwm 0.0));
-      Printf.sprintf "queue_wait_count %d" qw.R.Histogram.count;
-      Printf.sprintf "queue_wait_mean_us %.0f" (R.Histogram.mean qw);
-      Printf.sprintf "queue_wait_p95_us %d" (R.Histogram.quantile qw 0.95);
-      (* Additive (multicore serving): worker domains after clamping. *)
+      (* Additive (multicore serving): domains serving requests. *)
       Printf.sprintf "domains %d" (domains t);
       (* Additive (event-loop front end): reactor connection and
          pipelining state. *)
@@ -848,10 +806,12 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-let schema_version = 1
+(* 2: the admission-queue fields ([queue_high_water], [queue_depth],
+   [queue_high_water_window], [queue_wait]) are gone with the queue. *)
+let schema_version = 2
 
 (* Versioned independently of the top-level schema: the [cache] block is
-   additive (schema stays 1) but carries its own version so its fields can
+   additive (no schema bump) but carries its own version so its fields can
    evolve without a top-level bump. *)
 let cache_block_version = 1
 
@@ -870,7 +830,7 @@ let cache_json cs =
     cs.memo_misses cs.memo_invalidations cs.memo_entries cs.subsume
     cs.derived_hits cs.derived_scan_entries cs.subsume_misses cs.index_keys
 
-(* Like the [cache] block: additive under schema 1, independently
+(* Like the [cache] block: additive, independently
    versioned. *)
 let store_block_version = 1
 
@@ -894,7 +854,6 @@ let render_json t =
   let cache = cache_stats t in
   let store = store_stats t in
   let forms = sorted_forms t in
-  let qw = R.Histogram.snapshot t.h_queue_wait in
   let buf = Buffer.create 512 in
   Buffer.add_string buf
     (Printf.sprintf
@@ -902,10 +861,7 @@ let render_json t =
         \"queries_total\":%d,\"answered_total\":%d,\
         \"climbs_total\":%d,\"busy_total\":%d,\"errors_total\":%d,\
         \"snapshots_total\":%d,\"forms_loaded\":%d,\
-        \"forms_active\":%d,\"queue_high_water\":%d,\"queue_depth\":%d,\
-        \"queue_high_water_window\":%d,\
-        \"queue_wait\":{\"count\":%d,\"mean_us\":%.1f,\"p50_us\":%d,\
-        \"p95_us\":%d,\"p99_us\":%d},\"domains\":%d,"
+        \"forms_active\":%d,\"domains\":%d,"
        schema_version
        (int_of_float (Unix.gettimeofday () -. t.started))
        (R.Counter.value t.c_connections)
@@ -916,16 +872,8 @@ let render_json t =
        (R.Counter.value t.c_errors)
        (R.Counter.value t.c_snapshots)
        (R.Counter.value t.c_forms_loaded)
-       (List.length forms)
-       (int_of_float (R.Gauge.value t.g_queue_hwm))
-       (int_of_float (R.Gauge.value t.g_queue_depth))
-       (int_of_float (Atomic.exchange t.window_hwm 0.0))
-       qw.R.Histogram.count (R.Histogram.mean qw)
-       (R.Histogram.quantile qw 0.50)
-       (R.Histogram.quantile qw 0.95)
-       (R.Histogram.quantile qw 0.99)
-       (domains t));
-  (* Additive block (schema stays 1): the v4 reactor's transport-level
+       (List.length forms) (domains t));
+  (* Additive block: the v4 reactor's transport-level
      state, absent only from pre-v4 builds. *)
   Buffer.add_string buf
     (Printf.sprintf
@@ -935,7 +883,7 @@ let render_json t =
        (json_escape t.backend) Frame.version (conns_open t)
        (int_of_float (R.Gauge.value t.g_pipeline_depth))
        (int_of_float (R.Gauge.value t.g_pipeline_hwm)));
-  (* Additive block (schema stays 1): the reactor fleet — per-loop
+  (* Additive block: the reactor fleet — per-loop
      connection/wakeup/pipeline readings plus the shedding counters. *)
   Buffer.add_string buf
     (Printf.sprintf
@@ -959,7 +907,7 @@ let render_json t =
            (int_of_float (R.Gauge.value lh.lg_pipeline))))
     (sorted_loops t);
   Buffer.add_string buf "]},";
-  (* Additive block (schema stays 1): request-lifecycle tracing. *)
+  (* Additive block: request-lifecycle tracing. *)
   Buffer.add_string buf
     (Printf.sprintf
        "\"lifecycle\":{\"requests_total\":%d,\"traces_retained_total\":%d},"

@@ -31,38 +31,36 @@ val registry : t -> Obs.Registry.t
 
 (** The whole registry in Prometheus text exposition format 0.0.4 —
     the [GET /metrics] body. Runs the collect hooks (cache mirror,
-    uptime, windowed high-water). *)
+    uptime). *)
 val render_prometheus : t -> string
 
-(** {1 Worker domains} *)
+(** {1 Domains}
 
-(** Record the effective worker-domain count (after clamping the
-    requested [--workers] to the host's recommended domain count).
-    Rendered as the [strategem_domains] gauge and the additive
-    [domains] STATS field. *)
-val set_domains : t -> int -> unit
+    Every event loop is a domain that executes its requests inline, so
+    the domain count is the loop count ({!set_loops}), rendered as the
+    [strategem_domains] gauge and the additive [domains] STATS field. *)
 
 val domains : t -> int
 
-(** Per-domain hot-path handles, obtained once by each worker at spawn:
+(** Per-domain hot-path handles, obtained once by each loop at spawn:
     [strategem_domain_connections_total{domain}] and
     [strategem_domain_busy_us_total{domain}]. *)
 type domain_handles
 
 val domain_handles : t -> domain:int -> domain_handles
 
-(** One request served by this domain, which spent [busy_us] on it
-    (queue wait excluded). Before the event-loop front end the unit was
-    a whole connection; the metric names are frozen, the granularity is
-    not. *)
+(** One request executed by this domain, which spent [busy_us] on it
+    (head-of-line wait excluded). Before the event-loop front end the
+    unit was a whole connection; the metric names are frozen, the
+    granularity is not. *)
 val domain_served : domain_handles -> busy_us:float -> unit
 
 (** {1 Events} *)
 
 val connection : t -> unit
 
-(** A connection or request shed with [BUSY] (connections at the
-    [max_conns] cap, requests when the admission queue is full). *)
+(** A connection shed with [BUSY] at accept (the [max_conns] or
+    [max_conns_per_ip] cap). *)
 val busy : t -> unit
 
 val error : t -> unit
@@ -71,18 +69,6 @@ val snapshot_saved : t -> forms:int -> unit
 (** [n] forms' learned strategies were reloaded from snapshots at
     startup. *)
 val forms_loaded : t -> int -> unit
-
-(** Record the admission-queue depth (observed after an enqueue or a
-    pop; since the event-loop front end the queue holds individual
-    requests, not connections). Keeps three readings: the current-depth
-    gauge, an all-time high water ([queue_high_water], never resets),
-    and a windowed high water ([queue_high_water_window]) that resets
-    each time [STATS] or a [/metrics] scrape reads it. *)
-val observe_queue_depth : t -> int -> unit
-
-(** A request spent [wait_us] in the admission queue before a worker
-    picked it up. *)
-val queue_waited : t -> wait_us:float -> unit
 
 (** A subsumption probe (candidate walk + answer-set filtering) took
     [us] microseconds. Observed on derived hits and on probes that fell
@@ -99,10 +85,10 @@ val conn_opened : t -> unit
 val conn_closed : t -> unit
 val conns_open : t -> int
 
-(** The [strategem_pipeline_depth] gauge: requests dispatched to the
-    worker pool whose responses have not yet been enqueued, across all
-    connections; an all-time high water is kept as
-    [strategem_pipeline_depth_high_water]. *)
+(** The [strategem_pipeline_depth] gauge: requests parsed whose
+    responses have not yet been enqueued (the reads the loops are
+    executing), across all connections; an all-time high water is kept
+    as [strategem_pipeline_depth_high_water]. *)
 val set_pipeline_depth : t -> int -> unit
 
 (** The reactor backend ("epoll" / "select"), surfaced in the STATS JSON
@@ -111,13 +97,13 @@ val set_backend : t -> string -> unit
 
 (** {1 Reactor fleet}
 
-    One event loop per worker domain: each loop registers its handles at
-    spawn and updates only its own [{loop="i"}] series, so the hot path
-    never contends. Rendered as the additive [loops] STATS field and the
+    One event loop per domain: each loop registers its handles at spawn
+    and updates only its own [{loop="i"}] series, so the hot path never
+    contends. Rendered as the additive [loops] STATS field and the
     [loops] block ([count] plus a [per_loop] array) in [STATS JSON]. *)
 
-(** Record the fleet size ([strategem_loops] gauge, [loops] STATS
-    field). *)
+(** Record the fleet size ([strategem_loops] and [strategem_domains]
+    gauges, [loops] and [domains] STATS fields). *)
 val set_loops : t -> int -> unit
 
 val loops : t -> int
@@ -136,14 +122,14 @@ val loop_conns : loop_handles -> int
     ({!Eventloop.wakeups}) into its counter series. *)
 val set_loop_wakeups : loop_handles -> int -> unit
 
-(** Requests in flight on this loop's connections right now. *)
+(** Requests of the read this loop is executing right now. *)
 val set_loop_pipeline_depth : loop_handles -> int -> unit
 
 (** One stage of a finalized request's lifecycle, in microseconds:
     [strategem_stage_latency_us{stage, loop}]. Stage vocabulary:
-    [frame], [queue], [worker], [flush], [total], plus [wal_fsync] and
-    [page_read] when the store waited. Loop thread only (the per-stage
-    child cache is unlocked). *)
+    [frame], [queue], [worker], [flush], [total], plus [page_read] when
+    the store faulted pages in. Loop thread only (the per-stage child
+    cache is unlocked). *)
 val observe_stage : loop_handles -> stage:string -> float -> unit
 
 (** A request's lifecycle record was finalized
@@ -155,7 +141,7 @@ val lifecycle_requests : t -> int
 (** A finalized request's trace was kept by tail-based retention
     ([strategem_traces_retained_total{reason}]); [seq] becomes the
     loop's exemplar gauge ([strategem_trace_retained_exemplar{loop}]).
-    [reason] is one of [slow], [error], [shed]. *)
+    [reason] is one of [slow], [error]. *)
 val trace_retained : t -> loop_handles -> reason:string -> seq:int -> unit
 
 (** Traces retained across all reasons since start. *)
@@ -278,7 +264,6 @@ val store_block_version : int
 val queries_total : t -> int
 val climbs_total : t -> int
 val busy_total : t -> int
-val queue_high_water : t -> int
 
 (** [STATS] body: one [key value] line per counter, then one [form ...]
     line per query form (sorted by form key). Deterministic field order. *)

@@ -4,8 +4,6 @@ open Infgraph
 type config = {
   host : string;
   port : int;
-  workers : int;
-  queue_depth : int;
   max_conns : int;
   state_dir : string option;
   snapshot_interval : float;
@@ -18,7 +16,7 @@ type config = {
   log_level : Obs.Log.level option;  (* None = structured logging off *)
   log_file : string option;  (* None = stderr *)
   slow_query_us : float;  (* 0. = slow-query log off *)
-  loops : int;  (* event loops in the reactor fleet; 0 = match domains *)
+  loops : int;  (* event loops in the reactor fleet; 0 = one per core *)
   max_write_buf : int;  (* per-conn write-buffer cap, bytes; 0 = off *)
   max_write_total : int;  (* global write-buffer cap, bytes; 0 = off *)
   idle_timeout_s : float;  (* close idle connections after; 0. = off *)
@@ -32,8 +30,6 @@ let default_config =
   {
     host = "127.0.0.1";
     port = 4280;
-    workers = 4;
-    queue_depth = 64;
     max_conns = 10_000;
     state_dir = None;
     snapshot_interval = 0.0;
@@ -56,51 +52,35 @@ let default_config =
     retain = 64;
   }
 
-(* A worker's verdict on one request. [R_lines (lines, multi)] renders as
-   the lines (END-terminated when [multi]) on a line connection and as
-   one [Ok] frame with the lines joined by '\n' on a v4 connection. *)
+(* The verdict on one request. [R_lines (lines, multi)] renders as the
+   lines (END-terminated when [multi]) on a line connection and as one
+   [Ok] frame with the lines joined by '\n' on a v4 connection. *)
 type reply =
   | R_lines of string list * bool
   | R_err of Protocol.err_code * string
-  | R_busy
   | R_bye
-  | R_none  (* nothing on the wire (never produced for v4 requests) *)
-
-type job = {
-  conn : Conn.t;
-  rid : int;  (* v4: the client's frame id; lines: a per-conn sequence *)
-  framed : bool;  (* captured at dispatch — upgrades don't retitle jobs *)
-  req : Protocol.request;
-  enqueued : float;
-  lc : Lifecycle.t option;  (* lifecycle record; None when --no-lifecycle *)
-}
 
 (* One event loop of the reactor fleet. Each loop is its own domain
    owning a private {!Eventloop.t} (its own epoll instance and wake
-   channel) and a private connection table — no [Conn.t] is ever shared
-   between loops, so everything here is either loop-thread-only or one
-   of the two explicit handoff queues. *)
+   channel) and a private connection table, and executes every request
+   of its connections inline — no [Conn.t] is ever shared between
+   loops, so everything here is loop-thread-only apart from the
+   acceptor's handoff queue and the retained-trace buffer. *)
 type loop_state = {
   lid : int;
   ev : Eventloop.t;
   lh : Metrics.loop_handles;
-  (* loop-thread state: every connection this loop owns, by id *)
+  dh : Metrics.domain_handles;
+  (* every connection this loop owns, by id *)
   conns : (int, Conn.t) Hashtbl.t;
   (* acceptor → loop handoff: freshly accepted sockets
      [(fd, peer, ip, id, accept_ns)]. The loop materializes the [Conn.t]
      and registers the fd itself — {!Eventloop.add} is loop-thread-only. *)
   inc_lock : Mutex.t;
   incoming : (Unix.file_descr * string * string * int * int64) Queue.t;
-  (* worker → loop handoff: connections with a freshly enqueued response
-     (or other state change) the loop should service *)
-  attn_lock : Mutex.t;
-  attention : Conn.t list ref;
   (* connections owned (including queued handoffs), read by the acceptor
      for two-choice placement and the max-conns cap *)
   n_conns : int Atomic.t;
-  (* requests dispatched from this loop's connections whose response is
-     not yet enqueued — the loop's drain condition *)
-  inflight : int Atomic.t;
   mutable draining : bool;
   (* loop-thread timestamp, refreshed once per iteration when the idle
      timeout is on — per-event [Conn.touch] never calls gettimeofday *)
@@ -115,20 +95,16 @@ type loop_state = {
      (conn events directly; request events at finalize, replayed from
      the lifecycle record's timestamps), snapshotted by anyone *)
   flight : Obs.Flight.t;
-  (* worker → loop: finalize handoff. A worker enqueueing a response
-     registers [(byte mark, lifecycle record, conn)] here; the loop
-     finalizes the record — flight events, stage histograms, retention —
+  (* lifecycle records whose response had not drained when it was
+     enqueued, as [(byte mark, record, conn)], newest first; finalized
      once the conn's flushed-bytes total reaches the mark (or the conn
-     died). *)
-  fin_lock : Mutex.t;
-  mutable pending_fin : (int * Lifecycle.t * Conn.t) list;
+     died) *)
+  mutable unflushed : (int * Lifecycle.t * Conn.t) list;
   (* tail-retained traces, newest first; written by the loop at
-     finalize, read by FLIGHT / /debug/flight. Inserts keep the
-     finalized record and render the span tree lazily at dump time:
-     under sustained overload every shed request retains, and an eager
-     render per insert was measured at ~30 us — a 2-3x throughput
-     collapse on the shed path, paid for entries that are mostly
-     evicted unread. *)
+     finalize, read by FLIGHT / /debug/flight from any thread. Inserts
+     keep the finalized record and render the span tree lazily at dump
+     time: an eager render per insert was measured at ~30 us, paid for
+     entries that are mostly evicted unread. *)
   ret_lock : Mutex.t;
   mutable retained : retained_entry list;
   mutable retained_n : int;
@@ -165,7 +141,6 @@ type state = {
   conn_seq : int Atomic.t;  (* connection ids, for log correlation *)
   (* acceptor-only rotation for power-of-two-choices placement *)
   accept_rr : int Atomic.t;
-  queue : job Admission.t;
   cache : Cache.Answers.t option;
   memo : D.Sld.Memo.t option;
   stopping : bool Atomic.t;
@@ -179,15 +154,14 @@ type state = {
      (decr at reap) *)
   ip_lock : Mutex.t;
   ip_counts : (string, int) Hashtbl.t;
-  (* requests dispatched whose response is not yet enqueued, across all
+  (* requests parsed whose response is not yet enqueued, across all
      loops: the pipeline-depth gauge *)
   inflight_total : int Atomic.t;
 }
 
-(* Callable from worker threads and from signal handlers, so it must not
-   take locks beyond the wake channels: flip the flag and wake the
-   acceptor, the snapshotter, and every event loop; they do their own
-   teardown. *)
+(* Callable from any loop and from signal handlers, so it must not take
+   locks beyond the wake channels: flip the flag and wake the acceptor,
+   the snapshotter, and every event loop; they do their own teardown. *)
 let initiate_shutdown st =
   if not (Atomic.exchange st.stopping true) then begin
     (try ignore (Unix.write_substring st.stop_w "x" 0 1)
@@ -231,9 +205,7 @@ let encode_reply ~framed ~rid reply =
       | R_lines (lines, _) -> (Frame.Ok, String.concat "\n" lines)
       | R_err (code, msg) ->
         (Frame.Err, Protocol.err_code_to_string code ^ " " ^ msg)
-      | R_busy -> (Frame.Busy, "")
       | R_bye -> (Frame.Bye, "")
-      | R_none -> assert false
     in
     Frame.encode_string { Frame.id = rid; kind; payload }
   else
@@ -250,81 +222,17 @@ let encode_reply ~framed ~rid reply =
         Buffer.add_char b '\n');
       Buffer.contents b
     | R_err (code, msg) -> Protocol.err ~code msg ^ "\n"
-    | R_busy -> Protocol.busy ^ "\n"
     | R_bye -> Protocol.bye ^ "\n"
-    | R_none -> assert false
 
-(* Hand [c] back to its owning loop: every connection carries its loop
-   id, so a worker completing a request finds the one wake channel to
-   write. Push before the inflight decrement — the loop's drain
-   predicate must not observe zero in flight with the handoff still
-   unpublished. *)
-let request_attention st c =
-  let ls = st.loops.(Conn.loop c) in
-  Mutex.lock ls.attn_lock;
-  ls.attention := c :: !(ls.attention);
-  Mutex.unlock ls.attn_lock;
-  ls
+(* --- request handlers (pure of socket I/O) --- *)
 
-(* Enqueue the encoded response on the job's connection and hand the
-   connection back to its owning loop. Called from worker domains and
-   (for inline BUSY) from the loop itself. *)
-let respond st job reply =
-  (match job.lc with
-  | Some l ->
-    l.Lifecycle.lc_respond_ns <- Lifecycle.now_ns ();
-    (match reply with
-    | R_err _ -> l.Lifecycle.lc_error <- true
-    | R_busy -> l.Lifecycle.lc_shed <- true
-    | _ -> ())
-  | None -> ());
-  let mark =
-    match reply with
-    | R_none -> Conn.send_mark job.conn ""
-    | _ ->
-      Conn.send_mark job.conn
-        (encode_reply ~framed:job.framed ~rid:job.rid reply)
-  in
-  (match reply with
-  | R_bye -> Conn.set_closing job.conn
-  | R_busy when not job.framed ->
-    (* line dialect has no id to tie BUSY to a request, so it keeps the
-       v1..v3 semantics: BUSY then close *)
-    Conn.set_closing job.conn
-  | _ -> ());
-  Conn.decr_inflight job.conn;
-  let ls = request_attention st job.conn in
-  (* register the finalize mark before the wake, like the attention push:
-     the tick this wake triggers must see it *)
-  (match job.lc with
-  | Some l ->
-    Mutex.lock ls.fin_lock;
-    ls.pending_fin <- (mark, l, job.conn) :: ls.pending_fin;
-    Mutex.unlock ls.fin_lock
-  | None -> ());
-  ignore (Atomic.fetch_and_add ls.inflight (-1));
-  let now = Atomic.fetch_and_add st.inflight_total (-1) - 1 in
-  Metrics.set_pipeline_depth st.metrics now;
-  Eventloop.wake ls.ev
-
-(* --- request handlers (worker side, pure of socket I/O) --- *)
-
-(* Root a [serve] span covering this query's whole worker-side handling;
-   the admission wait the request already paid is attached as an
-   attribute (it happened before the span could exist). *)
-let serve_root tracer ~wait_us atom_text =
-  let root = Trace.root tracer ~kind:"serve" atom_text in
-  Trace.set_attr tracer root "queue_wait_us"
-    (Printf.sprintf "%.0f" wait_us);
-  root
-
-(* Answer [q] through the registry, tracing if [tracer] is enabled, and
-   record the query metrics. Returns the answer and its latency
-   (exceptions escape). *)
-let answer_traced st ~wait_us ~t0 tracer q =
+(* Answer [q] through the registry, under a [serve] root span when
+   [tracer] is enabled, and record the query metrics. Returns the answer
+   and its latency (exceptions escape). *)
+let answer_traced st ~t0 tracer q =
   let root =
     if Trace.enabled tracer then
-      serve_root tracer ~wait_us (D.Atom.to_string q)
+      Trace.root tracer ~kind:"serve" (D.Atom.to_string q)
     else Trace.dummy
   in
   let ans =
@@ -436,7 +344,7 @@ let with_query st atom_text f =
       R_err (`Internal, msg)
     | reply -> reply)
 
-let handle_query st ~conn ~qid ~wait_us ~t0 atom_text =
+let handle_query st ~conn ~qid ~t0 atom_text =
   with_query st atom_text (fun q ->
       (* Slow-query mode traces only when armed by a previous slow
          detection (see [trace_next]) — never speculatively. *)
@@ -451,7 +359,7 @@ let handle_query st ~conn ~qid ~wait_us ~t0 atom_text =
         then Trace.make ()
         else Trace.null
       in
-      let ans, latency_us = answer_traced st ~wait_us ~t0 tracer q in
+      let ans, latency_us = answer_traced st ~t0 tracer q in
       log_query st ~conn ~qid ~latency_us ~tracer atom_text ans;
       R_lines
         ( [
@@ -464,10 +372,10 @@ let handle_query st ~conn ~qid ~wait_us ~t0 atom_text =
           ],
           false ))
 
-let handle_trace st ~conn ~qid ~wait_us ~t0 atom_text =
+let handle_trace st ~conn ~qid ~t0 atom_text =
   with_query st atom_text (fun q ->
       let tracer = Trace.make () in
-      let ans, latency_us = answer_traced st ~wait_us ~t0 tracer q in
+      let ans, latency_us = answer_traced st ~t0 tracer q in
       log_query st ~conn ~qid ~latency_us ~tracer atom_text ans;
       let paper_cost = exec_cost_of_trace tracer in
       let monitor_cost = ans.Core.Live.cost in
@@ -573,23 +481,23 @@ let flight_json st =
   Buffer.add_string buf "]}";
   Buffer.contents buf
 
-let process st ~wait_us ~t0 job =
-  match job.req with
-  (* Empty is never dispatched; Hello_v4 is answered inline by the loop *)
-  | Protocol.Empty | Protocol.Hello_v4 -> R_none
+(* [rid] is the client's frame id on v4, a per-connection sequence on
+   lines; [framed] is captured at parse, so an upgrade never retitles a
+   request that preceded it. *)
+let process st ~t0 c ~framed ~rid req =
+  match req with
+  (* never parsed into a request: blank lines are skipped and HELLO V4
+     is the connection upgrade *)
+  | Protocol.Empty | Protocol.Hello_v4 -> R_lines ([], false)
   | Protocol.Hello ->
-    let version =
-      if job.framed then Frame.version else Protocol.version
-    in
+    let version = if framed then Frame.version else Protocol.version in
     R_lines ([ Protocol.hello_line ~version ~learner:(learner_string st) () ], false)
   | Protocol.Ping -> R_lines ([ Protocol.pong ], false)
   | Protocol.Help -> R_lines (Protocol.help_lines, true)
   | Protocol.Stats -> R_lines (Metrics.render_text st.metrics, true)
   | Protocol.Stats_json -> R_lines ([ Metrics.render_json st.metrics ], false)
-  | Protocol.Query atom ->
-    handle_query st ~conn:(Conn.id job.conn) ~qid:job.rid ~wait_us ~t0 atom
-  | Protocol.Trace atom ->
-    handle_trace st ~conn:(Conn.id job.conn) ~qid:job.rid ~wait_us ~t0 atom
+  | Protocol.Query atom -> handle_query st ~conn:(Conn.id c) ~qid:rid ~t0 atom
+  | Protocol.Trace atom -> handle_trace st ~conn:(Conn.id c) ~qid:rid ~t0 atom
   | Protocol.Strategy atom -> handle_strategy st atom
   | Protocol.Flight -> R_lines ([ flight_json st ], false)
   | Protocol.Snapshot -> handle_snapshot st
@@ -601,87 +509,6 @@ let process st ~wait_us ~t0 job =
   | Protocol.Unknown verb ->
     Metrics.error st.metrics;
     R_err (`Unknown_verb, verb)
-
-(* --- worker pool --- *)
-
-let worker_loop st ~domain =
-  let dh = Metrics.domain_handles st.metrics ~domain in
-  let rec go () =
-    match Admission.pop st.queue with
-    | None -> ()
-    | Some job ->
-      let t0 = Unix.gettimeofday () in
-      let wait_us = (t0 -. job.enqueued) *. 1e6 in
-      Metrics.queue_waited st.metrics ~wait_us;
-      (* popping shrinks the queue: refresh the depth gauge so it tracks
-         both directions, not just enqueues *)
-      Metrics.observe_queue_depth st.metrics (Admission.length st.queue);
-      (* stamp pickup and expose the record ambiently, so store waits
-         (WAL fsync, page faults) land on the request that paid them *)
-      (match job.lc with
-      | Some l ->
-        l.Lifecycle.lc_worker_ns <- Lifecycle.now_ns ();
-        Lifecycle.set_current job.lc
-      | None -> ());
-      let reply =
-        try process st ~wait_us ~t0 job
-        with exn ->
-          Metrics.error st.metrics;
-          Obs.Log.error st.log "request handler crashed"
-            ~fields:
-              [
-                ("conn", Obs.Log.I (Conn.id job.conn));
-                ("exn", Obs.Log.S (Printexc.to_string exn));
-              ];
-          R_err (`Internal, Printexc.to_string exn)
-      in
-      if job.lc <> None then Lifecycle.set_current None;
-      respond st job reply;
-      if job.req = Protocol.Shutdown then initiate_shutdown st;
-      Metrics.domain_served dh
-        ~busy_us:((Unix.gettimeofday () -. t0) *. 1e6);
-      go ()
-  in
-  go ()
-
-(* The worker pool: one OCaml 5 domain per worker, up to the runtime's
-   recommended domain count — beyond that, extra parallelism cannot
-   help, so surplus workers run as systhreads *inside* the domains
-   (round-robin), preserving the configured request concurrency without
-   oversubscribing cores. All workers, wherever they live, drain the one
-   shared [Admission] queue of requests; its Mutex/Condition pair is
-   domain-safe.
-
-   Returns the spawned domains. *)
-let effective_domains workers =
-  Int.min workers (Int.max 1 (Domain.recommended_domain_count ()))
-
-let spawn_workers st ~n_domains =
-  let requested = st.cfg.workers in
-  if n_domains < requested then
-    Obs.Log.info st.log "workers exceed recommended domain count"
-      ~fields:
-        [
-          ("workers", Obs.Log.I requested);
-          ("domains", Obs.Log.I n_domains);
-          ( "note",
-            Obs.Log.S
-              "surplus workers run as systhreads inside the worker domains"
-          );
-        ];
-  Metrics.set_domains st.metrics n_domains;
-  let share slot =
-    (* workers are dealt round-robin: slot s runs worker s, s+D, ... *)
-    ((requested - slot - 1) / n_domains) + 1
-  in
-  List.init n_domains (fun slot ->
-      Domain.spawn (fun () ->
-          match share slot with
-          | 1 -> worker_loop st ~domain:slot
-          | k ->
-            List.init k (fun _ ->
-                Thread.create (fun () -> worker_loop st ~domain:slot) ())
-            |> List.iter Thread.join))
 
 (* --- reactor (loop thread) --- *)
 
@@ -712,78 +539,6 @@ let request_of_frame (f : Frame.t) =
     Protocol.Malformed
       ("unexpected response frame " ^ Frame.kind_name f.Frame.kind)
   | Frame.Unknown c -> Protocol.Unknown (Printf.sprintf "0x%02X" c)
-
-(* Hand one request to the worker pool; a full queue — or this loop's
-   share of it exhausted — sheds it with BUSY right here on the loop
-   thread. The producer tag makes back-pressure per-loop: a flooding
-   loop sheds at its own quota and never starves its peers' slots. *)
-let dispatch st c ~framed ~rid req =
-  Conn.incr_inflight c;
-  let ls = st.loops.(Conn.loop c) in
-  ignore (Atomic.fetch_and_add ls.inflight 1);
-  let d = Atomic.fetch_and_add st.inflight_total 1 + 1 in
-  Metrics.set_pipeline_depth st.metrics d;
-  (* the lifecycle record is born here on the loop thread, right after
-     the parse — [frame_ns] is its birth stamp — and [queue_ns] is
-     stamped before the push so no worker can observe it half-written *)
-  let lc =
-    if st.cfg.lifecycle then
-      Some
-        (Lifecycle.create ~conn:(Conn.id c) ~rid ~loop:ls.lid ~framed
-           ~label:(request_label req) ~accept_ns:(Conn.accept_ns c)
-           ~frame_ns:(Lifecycle.now_ns ()))
-    else None
-  in
-  (match lc with
-  | Some l -> l.Lifecycle.lc_queue_ns <- Lifecycle.now_ns ()
-  | None -> ());
-  let job =
-    { conn = c; rid; framed; req; enqueued = Unix.gettimeofday (); lc }
-  in
-  if Admission.try_push ~producer:ls.lid st.queue job then
-    Metrics.observe_queue_depth st.metrics (Admission.length st.queue)
-  else begin
-    (* never admitted: no queue stage; the shed flag is set by the
-       inline BUSY respond below *)
-    (match lc with
-    | Some l -> l.Lifecycle.lc_queue_ns <- 0L
-    | None ->
-      Obs.Flight.record ls.flight ~ts_ns:(Lifecycle.now_ns ())
-        ~code:Obs.Flight.code_shed ~loop:ls.lid ~conn:(Conn.id c) ~rid
-        ~a:0L ~b:0L);
-    Metrics.busy st.metrics;
-    if Obs.Log.enabled st.log Obs.Log.Debug then
-      Obs.Log.debug st.log "request shed: queue full"
-        ~fields:
-          [
-            ("conn", Obs.Log.I (Conn.id c));
-            ("loop", Obs.Log.I ls.lid);
-            ("queue_depth", Obs.Log.I st.cfg.queue_depth);
-          ];
-    respond st job R_busy
-  end
-
-let on_incoming st c inc =
-  match inc with
-  | Conn.Line_req Protocol.Empty -> ()  (* blank lines never dispatch *)
-  | Conn.Line_req req -> Conn.push_pending c req
-  | Conn.Upgrade ->
-    (* acknowledge on the line dialect before any response to frames
-       that followed the upgrade in the same buffer *)
-    Conn.send c
-      (Protocol.hello_line ~version:Frame.version
-         ~learner:(learner_string st) ()
-      ^ "\n")
-  | Conn.Frame_req f ->
-    dispatch st c ~framed:true ~rid:f.Frame.id (request_of_frame f)
-  | Conn.Junk msg ->
-    Metrics.error st.metrics;
-    if Conn.framed c then
-      Conn.send c
-        (Frame.encode_string
-           { Frame.id = 0; kind = Frame.Err; payload = "malformed " ^ msg })
-    else Conn.send c (Protocol.err ~code:`Malformed msg ^ "\n");
-    Conn.set_closing c
 
 (* Release one accept-time per-IP slot (loop thread, at reap). *)
 let release_ip st ip =
@@ -816,26 +571,25 @@ let reap st ls c =
     Metrics.loop_conn_closed ls.lh;
     if Obs.Log.enabled st.log Obs.Log.Debug then
       Obs.Log.debug st.log "connection closed"
-        ~fields:
-          [
-            ("conn", Obs.Log.I (Conn.id c));
-            ("loop", Obs.Log.I ls.lid);
-            ("pipeline_hwm", Obs.Log.I (Conn.pipeline_hwm c));
-          ]
+        ~fields:[ ("conn", Obs.Log.I (Conn.id c)); ("loop", Obs.Log.I ls.lid) ]
   end
 
+(* Flow control: a connection with unflushed output is not read, so TCP
+   slows a client that does not read its replies instead of the server
+   buffering or shedding them. Reading resumes once the output drains. *)
 let update_interest st ls c =
+  let out = Conn.has_output c in
   let read =
-    not (Conn.read_closed c)
-    && not (Conn.closing c)
+    (not out)
+    && (not (Conn.read_closed c))
+    && (not (Conn.closing c))
     && not (Atomic.get st.stopping)
   in
-  Eventloop.modify ls.ev (Conn.fd c) ~read ~write:(Conn.has_output c)
+  Eventloop.modify ls.ev (Conn.fd c) ~read ~write:out
 
-(* The per-connection maintenance step, run whenever anything might have
-   changed (socket event, worker completion, shutdown): flush pending
-   output, keep the line-mode stop-and-wait pipeline fed, close when
-   drained. Idempotent. Loop thread of the owning loop only. *)
+(* The per-connection maintenance step, run after every socket event and
+   once more when the drain starts: flush pending output, close when
+   drained, otherwise re-arm interest. Idempotent. *)
 let service st ls c =
   if Conn.dead c then reap st ls c
   else if Conn.overflowed c then begin
@@ -848,161 +602,11 @@ let service st ls c =
   else begin
     ignore (Conn.flush c);
     if Conn.dead c then reap st ls c
-    else begin
-      (if not (Conn.framed c) && not (Conn.closing c) && Conn.inflight c = 0
-       then
-         match Conn.pop_pending c with
-         | Some req -> dispatch st c ~framed:false ~rid:(Conn.next_rid c) req
-         | None -> ());
-      let idle =
-        Conn.inflight c = 0
-        && Conn.pending_count c = 0
-        && not (Conn.has_output c)
-      in
-      if
-        idle
-        && (Conn.closing c || Conn.read_closed c || Atomic.get st.stopping)
-      then reap st ls c
-      else update_interest st ls c
-    end
-  end
-
-let on_conn_event st ls c ~readable ~writable:_ =
-  (if
-     readable && not (Conn.read_closed c) && not (Conn.closing c)
-     && not (Conn.dead c)
-   then begin
-     if st.cfg.idle_timeout_s > 0.0 then Conn.touch c ~now:ls.now;
-     match Conn.on_readable c ~emit:(on_incoming st c) with
-     | Conn.Continue -> ()
-     | Conn.Eof ->
-       (* honor a final unterminated line, like the blocking server's
-          [input_line] did *)
-       Conn.finish_read c ~emit:(on_incoming st c);
-       Conn.set_read_closed c
-     | Conn.Rerror msg ->
-       if Obs.Log.enabled st.log Obs.Log.Debug then
-         Obs.Log.debug st.log "connection read error"
-           ~fields:
-             [
-               ("conn", Obs.Log.I (Conn.id c));
-               ("error", Obs.Log.S msg);
-             ];
-       Conn.kill c
-   end);
-  service st ls c
-
-(* --- the loop fleet (one domain per loop) --- *)
-
-(* The idle-timeout wheel's circumference, in one-second buckets. A
-   timeout longer than the circumference only means a connection's slot
-   comes due before its deadline — the lazy re-bucket below reinserts
-   it; correctness never depends on the size. *)
-let wheel_slots = 256
-
-(* Bucket [c] by the second of [at], clamped into the future so a
-   connection is never filed under a second the sweep has already
-   passed (it would then wait a full lap to be seen again). *)
-let wheel_insert ls ~at c =
-  let s = max (int_of_float at) (int_of_float ls.now + 1) in
-  let slot = s mod wheel_slots in
-  ls.wheel.(slot) <- c :: ls.wheel.(slot)
-
-(* Adopt sockets the acceptor handed over: materialize the [Conn.t] and
-   register the fd, both loop-thread-only operations. *)
-let adopt_incoming st ls =
-  let batch =
-    Mutex.lock ls.inc_lock;
-    let rec go acc =
-      match Queue.take_opt ls.incoming with
-      | None -> List.rev acc
-      | Some x -> go (x :: acc)
-    in
-    let b = go [] in
-    Mutex.unlock ls.inc_lock;
-    b
-  in
-  List.iter
-    (fun (fd, peer, ip, id, accept_ns) ->
-      let c =
-        Conn.create ~accept_ns ~id ~loop:ls.lid ~peer ~ip ~limits:st.limits
-          fd
-      in
-      if st.cfg.idle_timeout_s > 0.0 then begin
-        Conn.touch c ~now:ls.now;
-        wheel_insert ls ~at:(ls.now +. st.cfg.idle_timeout_s) c
-      end;
-      Hashtbl.replace ls.conns id c;
-      Obs.Flight.record ls.flight ~ts_ns:accept_ns
-        ~code:Obs.Flight.code_accept ~loop:ls.lid ~conn:id ~rid:0
-        ~a:(Int64.of_int ls.lid) ~b:0L;
-      Metrics.loop_conn_opened ls.lh;
-      Eventloop.add ls.ev fd ~read:true ~write:false
-        (fun ~readable ~writable -> on_conn_event st ls c ~readable ~writable);
-      if Obs.Log.enabled st.log Obs.Log.Debug then
-        Obs.Log.debug st.log "connection accepted"
-          ~fields:
-            [
-              ("conn", Obs.Log.I id);
-              ("loop", Obs.Log.I ls.lid);
-              ("peer", Obs.Log.S peer);
-              ("loop_conns", Obs.Log.I (Hashtbl.length ls.conns));
-            ];
-      (* a straggler adopted mid-drain is serviced (and so closed once
-         idle) immediately *)
-      if Atomic.get st.stopping then service st ls c)
-    batch
-
-(* Close connections with no traffic for [idle_timeout_s], via the
-   hashed timer wheel: a connection is bucketed by its deadline second
-   at adopt and re-bucketed lazily when its slot comes due —
-   [Conn.touch] never moves it, so servicing traffic costs nothing
-   here, and each sweep walks only the buckets whose second has passed
-   since the last one: O(due + expired) work, not a full O(open
-   connections) table scan per second per loop. A connection that was
-   touched since filing is simply re-filed at its new deadline when its
-   old bucket drains; one already reaped (the entry no longer in the
-   conn table) is dropped. In-flight requests hold a connection open
-   regardless — re-checked a second later. Zero cost when the timeout
-   is off. *)
-let idle_sweep st ls =
-  let timeout = st.cfg.idle_timeout_s in
-  if timeout > 0.0 && ls.now -. ls.last_sweep >= 1.0 then begin
-    let now_s = int_of_float ls.now in
-    let first =
-      (* after a stall longer than the circumference, one lap covers
-         every bucket — never reprocess a slot within one sweep *)
-      max (int_of_float ls.last_sweep + 1) (now_s - wheel_slots + 1)
-    in
-    ls.last_sweep <- ls.now;
-    for s = first to now_s do
-      let slot = s mod wheel_slots in
-      let due = ls.wheel.(slot) in
-      ls.wheel.(slot) <- [];
-      List.iter
-        (fun c ->
-          if Hashtbl.mem ls.conns (Conn.id c) then begin
-            let deadline = Conn.last_active c +. timeout in
-            if deadline > ls.now then wheel_insert ls ~at:deadline c
-            else if Conn.inflight c > 0 then
-              (* a response is still owed; look again next second *)
-              wheel_insert ls ~at:(ls.now +. 1.0) c
-            else begin
-              Metrics.idle_closed st.metrics;
-              if Obs.Log.enabled st.log Obs.Log.Debug then
-                Obs.Log.debug st.log "connection closed: idle timeout"
-                  ~fields:
-                    [
-                      ("conn", Obs.Log.I (Conn.id c));
-                      ("loop", Obs.Log.I ls.lid);
-                      ("idle_timeout_s", Obs.Log.F timeout);
-                    ];
-              Conn.kill c;
-              reap st ls c
-            end
-          end)
-        due
-    done
+    else if
+      (not (Conn.has_output c))
+      && (Conn.closing c || Conn.read_closed c || Atomic.get st.stopping)
+    then reap st ls c
+    else update_interest st ls c
   end
 
 (* --- lifecycle finalize (loop thread) --- *)
@@ -1016,7 +620,7 @@ let rec take n = function
 (* Finalize one request's lifecycle record: replay its stamps into the
    loop's flight ring (single-writer: only this loop's thread runs
    this), feed the per-stage latency histograms, and apply tail-based
-   retention — the full span tree is kept only for slow / error / shed
+   retention — the full span tree is kept only for slow / error
    requests. *)
 let finalize_lc st ls (lc : Lifecycle.t) =
   let open Lifecycle in
@@ -1028,14 +632,10 @@ let finalize_lc st ls (lc : Lifecycle.t) =
   let total = total_ns lc in
   ev Obs.Flight.code_request lc.lc_frame_ns 0L 0L;
   ev Obs.Flight.code_enqueue lc.lc_queue_ns 0L 0L;
-  ev Obs.Flight.code_worker lc.lc_worker_ns
-    (Int64.of_int lc.lc_wal_wait_ns)
-    (Int64.of_int lc.lc_page_wait_ns);
-  if lc.lc_shed then ev Obs.Flight.code_shed lc.lc_respond_ns 0L 0L
-  else
-    ev Obs.Flight.code_respond lc.lc_respond_ns
-      (if lc.lc_error then 1L else 0L)
-      0L;
+  ev Obs.Flight.code_worker lc.lc_worker_ns 0L (Int64.of_int lc.lc_page_wait_ns);
+  ev Obs.Flight.code_respond lc.lc_respond_ns
+    (if lc.lc_error then 1L else 0L)
+    0L;
   ev Obs.Flight.code_flush lc.lc_flush_ns total 0L;
   let stage_us from till =
     if Int64.equal from 0L || Int64.equal till 0L then None
@@ -1049,9 +649,6 @@ let finalize_lc st ls (lc : Lifecycle.t) =
   obs "worker" (stage_us lc.lc_worker_ns lc.lc_respond_ns);
   obs "flush" (stage_us lc.lc_respond_ns lc.lc_flush_ns);
   Metrics.observe_stage ls.lh ~stage:"total" (Int64.to_float total /. 1e3);
-  if lc.lc_wal_syncs > 0 then
-    Metrics.observe_stage ls.lh ~stage:"wal_fsync"
-      (float_of_int lc.lc_wal_wait_ns /. 1e3);
   if lc.lc_page_reads > 0 then
     Metrics.observe_stage ls.lh ~stage:"page_read"
       (float_of_int lc.lc_page_wait_ns /. 1e3);
@@ -1059,8 +656,7 @@ let finalize_lc st ls (lc : Lifecycle.t) =
   (* tail-based retention *)
   let total_us = Int64.to_float total /. 1e3 in
   let reason =
-    if lc.lc_shed then Some "shed"
-    else if lc.lc_error then Some "error"
+    if lc.lc_error then Some "error"
     else if st.cfg.slow_query_us > 0.0 && total_us >= st.cfg.slow_query_us
     then Some "slow"
     else None
@@ -1108,67 +704,289 @@ let finalize_lc st ls (lc : Lifecycle.t) =
               ("events", Obs.Log.J ("[" ^ String.concat "," tail ^ "]"));
             ]
 
-(* Finalize every registered record whose response bytes have drained
-   (or whose connection died trying). Oldest first, so ring order
-   matches completion order. *)
+(* Finalize [lc] once its response has drained to the socket — bytes up
+   to [mark] flushed — or its connection died trying; [false] while the
+   bytes are still buffered. Drained-first: a response fully flushed
+   before the connection closed (QUIT, BYE) is a success, not an
+   error. *)
+let try_finalize st ls ~mark lc c =
+  if Conn.flushed_bytes c >= mark then begin
+    lc.Lifecycle.lc_flush_ns <- Lifecycle.now_ns ();
+    finalize_lc st ls lc;
+    true
+  end
+  else if Conn.dead c || Conn.overflowed c then begin
+    lc.Lifecycle.lc_error <- true;
+    finalize_lc st ls lc;
+    true
+  end
+  else false
+
+(* Finalize every parked record whose response has since drained.
+   Oldest first, so ring order matches completion order. *)
 let finalize_pass st ls =
-  Mutex.lock ls.fin_lock;
-  let pend = ls.pending_fin in
-  ls.pending_fin <- [];
-  Mutex.unlock ls.fin_lock;
-  match pend with
-  | [] -> ()
-  | pend -> (
-    let keep =
-      List.rev pend
-      |> List.filter (fun (mark, lc, c) ->
-             (* drained-first: a response fully flushed before the
-                connection closed (QUIT, BYE) is a success, not an
-                error *)
-             if Conn.flushed_bytes c >= mark then begin
-               lc.Lifecycle.lc_flush_ns <- Lifecycle.now_ns ();
-               finalize_lc st ls lc;
-               false
-             end
-             else if Conn.dead c || Conn.overflowed c then begin
-               lc.Lifecycle.lc_error <- true;
-               finalize_lc st ls lc;
-               false
-             end
-             else true)
+  if ls.unflushed <> [] then begin
+    let pend = List.rev ls.unflushed in
+    ls.unflushed <- [];
+    ls.unflushed <-
+      List.rev
+        (List.filter
+           (fun (mark, lc, c) -> not (try_finalize st ls ~mark lc c))
+           pend)
+  end
+
+(* --- inline execution (loop thread) --- *)
+
+(* Enqueue the encoded response and try to flush it at once; its
+   lifecycle record is finalized now if the bytes drained, or parked
+   until they do. *)
+let respond st ls c ~framed ~rid lc reply =
+  (match lc with
+  | Some l ->
+    l.Lifecycle.lc_respond_ns <- Lifecycle.now_ns ();
+    (match reply with R_err _ -> l.Lifecycle.lc_error <- true | _ -> ())
+  | None -> ());
+  let mark = Conn.send_mark c (encode_reply ~framed ~rid reply) in
+  (match reply with R_bye -> Conn.set_closing c | _ -> ());
+  ignore (Conn.flush c);
+  match lc with
+  | Some l when not (try_finalize st ls ~mark l c) ->
+    ls.unflushed <- (mark, l, c) :: ls.unflushed
+  | _ -> ()
+
+(* Run one request to completion on the loop that owns its connection.
+   The lifecycle record is born here, from the read and parse stamps
+   taken before the read's earlier requests ran, and is exposed
+   ambiently while the request executes so page faults land on it. *)
+let execute st ls c ~read_ns ~parse_ns ~framed ~rid req =
+  let lc =
+    if st.cfg.lifecycle then begin
+      let l =
+        Lifecycle.create ~conn:(Conn.id c) ~rid ~loop:ls.lid ~framed
+          ~label:(request_label req) ~accept_ns:(Conn.accept_ns c)
+          ~frame_ns:read_ns
+      in
+      l.Lifecycle.lc_queue_ns <- parse_ns;
+      l.Lifecycle.lc_worker_ns <- Lifecycle.now_ns ();
+      Some l
+    end
+    else None
+  in
+  if lc <> None then Lifecycle.set_current lc;
+  let t0 = Unix.gettimeofday () in
+  let reply =
+    try process st ~t0 c ~framed ~rid req
+    with exn ->
+      Metrics.error st.metrics;
+      Obs.Log.error st.log "request handler crashed"
+        ~fields:
+          [
+            ("conn", Obs.Log.I (Conn.id c));
+            ("exn", Obs.Log.S (Printexc.to_string exn));
+          ];
+      R_err (`Internal, Printexc.to_string exn)
+  in
+  if lc <> None then Lifecycle.set_current None;
+  respond st ls c ~framed ~rid lc reply;
+  if req = Protocol.Shutdown then initiate_shutdown st;
+  Metrics.domain_served ls.dh ~busy_us:((Unix.gettimeofday () -. t0) *. 1e6)
+
+let run_one st ls c ~read_ns (inc, parse_ns) =
+  match inc with
+  | Conn.Line_req req ->
+    execute st ls c ~read_ns ~parse_ns ~framed:false ~rid:(Conn.next_rid c)
+      req
+  | Conn.Frame_req f ->
+    execute st ls c ~read_ns ~parse_ns ~framed:true ~rid:f.Frame.id
+      (request_of_frame f)
+  | Conn.Upgrade ->
+    (* acknowledged on the line dialect before any response to frames
+       that followed the upgrade in the same read *)
+    Conn.send c
+      (Protocol.hello_line ~version:Frame.version
+         ~learner:(learner_string st) ()
+      ^ "\n")
+  | Conn.Junk msg ->
+    Metrics.error st.metrics;
+    if Conn.framed c then
+      Conn.send c
+        (Frame.encode_string
+           { Frame.id = 0; kind = Frame.Err; payload = "malformed " ^ msg })
+    else Conn.send c (Protocol.err ~code:`Malformed msg ^ "\n");
+    Conn.set_closing c
+
+(* Execute a read's requests in arrival order. The whole batch counts as
+   in flight for the pipeline gauges while it runs. Requests behind a
+   BYE, a protocol error or a write-cap overflow on the same connection
+   are dropped, like the bytes after them. *)
+let run_batch st ls c ~read_ns batch =
+  let n = List.length batch in
+  if n > 0 then begin
+    Metrics.set_pipeline_depth st.metrics
+      (Atomic.fetch_and_add st.inflight_total n + n);
+    Metrics.set_loop_pipeline_depth ls.lh n;
+    List.iter
+      (fun item ->
+        if not (Conn.closing c || Conn.dead c) then
+          run_one st ls c ~read_ns item)
+      batch;
+    Metrics.set_pipeline_depth st.metrics
+      (Atomic.fetch_and_add st.inflight_total (-n) - n);
+    Metrics.set_loop_pipeline_depth ls.lh 0
+  end
+
+(* A readable socket: parse every complete request in the read, then
+   execute them in order. *)
+let on_conn_event st ls c ~readable ~writable:_ =
+  (if
+     readable && (not (Conn.read_closed c)) && (not (Conn.closing c))
+     && not (Conn.dead c)
+   then begin
+     if st.cfg.idle_timeout_s > 0.0 then Conn.touch c ~now:ls.now;
+     let stamp () = if st.cfg.lifecycle then Lifecycle.now_ns () else 0L in
+     let read_ns = stamp () in
+     let batch = ref [] in
+     let emit = function
+       | Conn.Line_req Protocol.Empty -> ()  (* blank lines never execute *)
+       | inc -> batch := (inc, stamp ()) :: !batch
+     in
+     (match Conn.on_readable c ~emit with
+     | Conn.Continue -> ()
+     | Conn.Eof ->
+       (* honor a final unterminated line, like the blocking server's
+          [input_line] did *)
+       Conn.finish_read c ~emit;
+       Conn.set_read_closed c
+     | Conn.Rerror msg ->
+       if Obs.Log.enabled st.log Obs.Log.Debug then
+         Obs.Log.debug st.log "connection read error"
+           ~fields:
+             [ ("conn", Obs.Log.I (Conn.id c)); ("error", Obs.Log.S msg) ];
+       Conn.kill c);
+     run_batch st ls c ~read_ns (List.rev !batch)
+   end);
+  service st ls c
+
+(* --- the loop fleet (one domain per loop) --- *)
+
+(* The idle-timeout wheel's circumference, in one-second buckets. A
+   timeout longer than the circumference only means a connection's slot
+   comes due before its deadline — the lazy re-bucket below reinserts
+   it; correctness never depends on the size. *)
+let wheel_slots = 256
+
+(* Bucket [c] by the second of [at], clamped into the future so a
+   connection is never filed under a second the sweep has already
+   passed (it would then wait a full lap to be seen again). *)
+let wheel_insert ls ~at c =
+  let s = max (int_of_float at) (int_of_float ls.now + 1) in
+  let slot = s mod wheel_slots in
+  ls.wheel.(slot) <- c :: ls.wheel.(slot)
+
+(* Adopt sockets the acceptor handed over: materialize the [Conn.t] and
+   register the fd, both loop-thread-only operations. *)
+let adopt_incoming st ls =
+  let batch =
+    Mutex.lock ls.inc_lock;
+    let rec go acc =
+      match Queue.take_opt ls.incoming with
+      | None -> List.rev acc
+      | Some x -> go (x :: acc)
     in
-    match keep with
-    | [] -> ()
-    | keep ->
-      Mutex.lock ls.fin_lock;
-      ls.pending_fin <- ls.pending_fin @ List.rev keep;
-      Mutex.unlock ls.fin_lock)
+    let b = go [] in
+    Mutex.unlock ls.inc_lock;
+    b
+  in
+  List.iter
+    (fun (fd, peer, ip, id, accept_ns) ->
+      let c = Conn.create ~accept_ns ~id ~peer ~ip ~limits:st.limits fd in
+      if st.cfg.idle_timeout_s > 0.0 then begin
+        Conn.touch c ~now:ls.now;
+        wheel_insert ls ~at:(ls.now +. st.cfg.idle_timeout_s) c
+      end;
+      Hashtbl.replace ls.conns id c;
+      Obs.Flight.record ls.flight ~ts_ns:accept_ns
+        ~code:Obs.Flight.code_accept ~loop:ls.lid ~conn:id ~rid:0
+        ~a:(Int64.of_int ls.lid) ~b:0L;
+      Metrics.loop_conn_opened ls.lh;
+      Eventloop.add ls.ev fd ~read:true ~write:false
+        (fun ~readable ~writable -> on_conn_event st ls c ~readable ~writable);
+      if Obs.Log.enabled st.log Obs.Log.Debug then
+        Obs.Log.debug st.log "connection accepted"
+          ~fields:
+            [
+              ("conn", Obs.Log.I id);
+              ("loop", Obs.Log.I ls.lid);
+              ("peer", Obs.Log.S peer);
+              ("loop_conns", Obs.Log.I (Hashtbl.length ls.conns));
+            ];
+      (* a straggler adopted mid-drain is serviced (and so closed once
+         idle) immediately *)
+      if Atomic.get st.stopping then service st ls c)
+    batch
+
+(* Close connections with no traffic for [idle_timeout_s], via the
+   hashed timer wheel: a connection is bucketed by its deadline second
+   at adopt and re-bucketed lazily when its slot comes due —
+   [Conn.touch] never moves it, so servicing traffic costs nothing
+   here, and each sweep walks only the buckets whose second has passed
+   since the last one: O(due + expired) work, not a full O(open
+   connections) table scan per second per loop. A connection that was
+   touched since filing is simply re-filed at its new deadline when its
+   old bucket drains; one already reaped (the entry no longer in the
+   conn table) is dropped. Zero cost when the timeout is off. *)
+let idle_sweep st ls =
+  let timeout = st.cfg.idle_timeout_s in
+  if timeout > 0.0 && ls.now -. ls.last_sweep >= 1.0 then begin
+    let now_s = int_of_float ls.now in
+    let first =
+      (* after a stall longer than the circumference, one lap covers
+         every bucket — never reprocess a slot within one sweep *)
+      max (int_of_float ls.last_sweep + 1) (now_s - wheel_slots + 1)
+    in
+    ls.last_sweep <- ls.now;
+    for s = first to now_s do
+      let slot = s mod wheel_slots in
+      let due = ls.wheel.(slot) in
+      ls.wheel.(slot) <- [];
+      List.iter
+        (fun c ->
+          if Hashtbl.mem ls.conns (Conn.id c) then begin
+            let deadline = Conn.last_active c +. timeout in
+            if deadline > ls.now then wheel_insert ls ~at:deadline c
+            else begin
+              Metrics.idle_closed st.metrics;
+              if Obs.Log.enabled st.log Obs.Log.Debug then
+                Obs.Log.debug st.log "connection closed: idle timeout"
+                  ~fields:
+                    [
+                      ("conn", Obs.Log.I (Conn.id c));
+                      ("loop", Obs.Log.I ls.lid);
+                      ("idle_timeout_s", Obs.Log.F timeout);
+                    ];
+              Conn.kill c;
+              reap st ls c
+            end
+          end)
+        due
+    done
+  end
 
 (* The loop's post-poll hook, run once per iteration: adopt handoffs,
-   service completions, start the drain once stopping flips, sweep for
-   idle connections, refresh this loop's metric series. *)
+   start the drain once stopping flips, finalize records whose responses
+   drained, sweep for idle connections, refresh this loop's metric
+   series. *)
 let loop_tick st ls =
   if st.cfg.idle_timeout_s > 0.0 then ls.now <- Unix.gettimeofday ();
   adopt_incoming st ls;
-  let batch =
-    Mutex.lock ls.attn_lock;
-    let b = !(ls.attention) in
-    ls.attention := [];
-    Mutex.unlock ls.attn_lock;
-    b
-  in
-  List.iter (service st ls) batch;
   if Atomic.get st.stopping && not ls.draining then begin
     ls.draining <- true;
     Hashtbl.fold (fun _ c acc -> c :: acc) ls.conns []
     |> List.iter (service st ls)
   end;
-  (* after the service pass, so a response flushed this very iteration
-     finalizes in the same tick *)
   finalize_pass st ls;
   idle_sweep st ls;
-  Metrics.set_loop_wakeups ls.lh (Eventloop.wakeups ls.ev);
-  Metrics.set_loop_pipeline_depth ls.lh (Atomic.get ls.inflight)
+  Metrics.set_loop_wakeups ls.lh (Eventloop.wakeups ls.ev)
 
 let incoming_empty ls =
   Mutex.lock ls.inc_lock;
@@ -1177,15 +995,15 @@ let incoming_empty ls =
   e
 
 (* A loop domain's whole life: poll until told to stop and fully
-   drained. The loop's [Eventloop.t] stays open after exit — late
-   worker wakes must hit a live eventfd, not a recycled descriptor —
-   and is closed by the main thread once every domain has joined. *)
+   drained. The loop's [Eventloop.t] stays open after exit — a late
+   wake from the acceptor or a peer loop's SHUTDOWN must hit a live
+   eventfd, not a recycled descriptor — and is closed by the main
+   thread once every domain has joined. *)
 let loop_main st ls =
   Eventloop.on_wake ls.ev (fun () -> loop_tick st ls);
   Eventloop.run ls.ev ~stop:(fun () ->
       Atomic.get st.stopping
       && Hashtbl.length ls.conns = 0
-      && Atomic.get ls.inflight = 0
       && incoming_empty ls);
   (* belt and braces for exceptional exits: release any survivors *)
   Hashtbl.iter
@@ -1214,23 +1032,18 @@ let ip_of_sockaddr = function
   | Unix.ADDR_UNIX p -> p
 
 (* Power-of-two-choices placement: probe two loops picked by a rotating
-   counter and take the less loaded under the lexicographic load key
-   (open connections, then pipeline depth) — strict least-connections
-   scanned the whole fleet per accept and, being blind to pipeline
-   depth, herded bursty pipelined clients onto one loop. Two probes get
-   within a constant factor of the full scan's balance at O(1) cost
-   (Mitzenmacher's classic result), and adding in-flight depth as the
-   tie-break steers new connections away from loops that are busy
-   rather than merely popular. Ties break to the lower loop id and the
-   rotation is deterministic, so four connections against an idle
-   two-loop fleet still land 2/2. *)
+   counter and take the one owning fewer connections. Two probes get
+   within a constant factor of a full least-connections scan's balance
+   at O(1) cost (Mitzenmacher's classic result). Ties break to the lower
+   loop id and the rotation is deterministic, so four connections
+   against an idle two-loop fleet land 2/2. *)
 let pick_loop st =
   let n = Array.length st.loops in
   if n = 1 then st.loops.(0)
   else begin
     let r = Atomic.fetch_and_add st.accept_rr 1 in
     let a = st.loops.(r mod n) and b = st.loops.((r + 1) mod n) in
-    let load ls = (Atomic.get ls.n_conns, Atomic.get ls.inflight, ls.lid) in
+    let load ls = (Atomic.get ls.n_conns, ls.lid) in
     if load a <= load b then a else b
   end
 
@@ -1337,11 +1150,10 @@ let snapshot_loop st stop_r =
   in
   go (Unix.gettimeofday () +. interval)
 
+let default_loops () = Int.max 1 (Domain.recommended_domain_count ())
+
 let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
     ?(on_metrics_listen = fun _ -> ()) cfg ~rulebase ~db =
-  if cfg.workers < 1 then invalid_arg "Server.run: workers must be >= 1";
-  if cfg.queue_depth < 1 then
-    invalid_arg "Server.run: queue_depth must be >= 1";
   if cfg.max_conns < 1 then invalid_arg "Server.run: max_conns must be >= 1";
   if cfg.loops < 0 then invalid_arg "Server.run: loops must be >= 0";
   if cfg.max_write_buf < 0 || cfg.max_write_total < 0 then
@@ -1379,31 +1191,27 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
   | None -> ());
   let stop_r, stop_w = Unix.pipe () in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  let n_domains = effective_domains cfg.workers in
-  Metrics.set_domains metrics n_domains;
-  (* The fleet: one event loop per worker domain unless pinned by
-     --loops. Each loop owns a private epoll instance and wake channel. *)
-  let n_loops = if cfg.loops = 0 then n_domains else cfg.loops in
+  (* The fleet: one event loop per core unless pinned by --loops. Each
+     loop is a domain with a private epoll instance and wake channel,
+     and executes its connections' requests inline. *)
+  let n_loops = if cfg.loops = 0 then default_loops () else cfg.loops in
   let fleet =
     Array.init n_loops (fun lid ->
         {
           lid;
           ev = Eventloop.create ();
           lh = Metrics.loop_handles metrics ~loop:lid;
+          dh = Metrics.domain_handles metrics ~domain:lid;
           conns = Hashtbl.create 64;
           inc_lock = Mutex.create ();
           incoming = Queue.create ();
-          attn_lock = Mutex.create ();
-          attention = ref [];
           n_conns = Atomic.make 0;
-          inflight = Atomic.make 0;
           draining = false;
           now = 0.0;
           last_sweep = 0.0;
           wheel = Array.make wheel_slots [];
           flight = Obs.Flight.create ~capacity:cfg.flight_capacity;
-          fin_lock = Mutex.create ();
-          pending_fin = [];
+          unflushed = [];
           ret_lock = Mutex.create ();
           retained = [];
           retained_n = 0;
@@ -1439,7 +1247,6 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
       flight_limiter = Obs.Log.Limiter.create ~min_interval_s:1.0;
       conn_seq = Atomic.make 1;
       accept_rr = Atomic.make 0;
-      queue = Admission.create ~producers:n_loops ~depth:cfg.queue_depth ();
       cache;
       memo;
       stopping = Atomic.make false;
@@ -1453,18 +1260,14 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
       inflight_total = Atomic.make 0;
     }
   in
-  (* Store-wait attribution: while a worker executes a request, the WAL
-     fsyncs and buffer-pool page faults it causes are charged to the
-     ambient lifecycle record (see the DLS caveat in Lifecycle). The
-     observer is process-global, cleared on the way out. *)
+  (* Page-fault attribution: while a loop executes a request, the
+     buffer-pool page faults it causes are charged to the ambient
+     lifecycle record. The observer is process-global, cleared on the
+     way out. *)
   if cfg.lifecycle then
-    Store.Hooks.install (fun ev ns ->
-        match Lifecycle.current () with
-        | None -> ()
-        | Some lc -> (
-          match ev with
-          | Store.Hooks.Wal_fsync -> Lifecycle.add_wal_wait lc ns
-          | Store.Hooks.Page_read -> Lifecycle.add_page_wait lc ns));
+    Store.Hooks.install (fun ns ->
+        Option.iter (fun lc -> Lifecycle.add_page_wait lc ns)
+          (Lifecycle.current ()));
   (* A paged (or copy-of-paged) database exposes its store counters;
      an in-memory one reports no store block at all. *)
   (match D.Database.store_stats st.db with
@@ -1524,8 +1327,8 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
       if cfg.lifecycle then Store.Hooks.clear ();
       Option.iter (fun h -> try Obs.Http.stop h with _ -> ()) !http;
       (* loops have joined (or never started) by now: their eventloops
-         are closed here, centrally, so a worker's late wake can never
-         hit a recycled descriptor *)
+         are closed here, centrally, so a late wake can never hit a
+         recycled descriptor *)
       Array.iter (fun ls -> Eventloop.close ls.ev) fleet;
       close_sock ();
       List.iter
@@ -1586,15 +1389,12 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
         let h = Obs.Http.start ~host:cfg.host ~port:mp ~handler () in
         http := Some h;
         on_metrics_listen (Obs.Http.port h));
-      let workers = spawn_workers st ~n_domains in
       let snapshotter =
         if cfg.snapshot_interval > 0.0 && cfg.state_dir <> None then
           Some (Thread.create (fun () -> snapshot_loop st stop_r) ())
         else None
       in
-      (* Spawn the fleet: one domain per event loop. The loops mostly
-         block in epoll_wait (which releases the runtime), so fleet
-         domains on top of worker domains don't oversubscribe cores. *)
+      (* Spawn the fleet: one domain per event loop. *)
       let loop_domains =
         Array.map (fun ls -> Domain.spawn (fun () -> loop_main st ls)) fleet
       in
@@ -1606,9 +1406,6 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
             ("port", Obs.Log.I port);
             ("backend", Obs.Log.S (Eventloop.backend fleet.(0).ev));
             ("loops", Obs.Log.I n_loops);
-            ("workers", Obs.Log.I cfg.workers);
-            ("domains", Obs.Log.I n_domains);
-            ("queue_depth", Obs.Log.I cfg.queue_depth);
             ("max_conns", Obs.Log.I cfg.max_conns);
             ( "learner",
               Obs.Log.S (Core.Learner.kind_to_string cfg.learner) );
@@ -1619,21 +1416,15 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
           ];
       (* The main thread is the dedicated acceptor until shutdown. *)
       acceptor st sock stop_r;
-      (* Drain: stop accepting, close the queue (workers finish what's
-         dispatched, then exit), and wake every loop so each drains its
-         own connections. The metrics responder stays up through the
-         drain so /healthz reports "draining" to probes. *)
+      (* Drain: stop accepting and wake every loop so each finishes the
+         requests it has parsed and flushes its own connections. The
+         metrics responder stays up through the drain so /healthz
+         reports "draining" to probes. *)
       Obs.Log.info log "shutdown initiated: draining"
-        ~fields:
-          [
-            ("inflight", Obs.Log.I (Atomic.get st.inflight_total));
-            ("conns_open", Obs.Log.I (total_conns st));
-          ];
+        ~fields:[ ("conns_open", Obs.Log.I (total_conns st)) ];
       close_sock ();
-      Admission.close st.queue;
       Array.iter (fun ls -> Eventloop.wake ls.ev) fleet;
       Array.iter Domain.join loop_domains;
-      List.iter Domain.join workers;
       Option.iter Thread.join snapshotter;
       (try ignore (save_snapshot st) with _ -> ());
       Obs.Log.info log "server stopped"

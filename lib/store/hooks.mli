@@ -1,22 +1,19 @@
-(** Store wait observation: a process-global hook timed around the two
-    places a store operation blocks on the disk — the WAL group-commit
-    [fsync] and a buffer-pool page fault's [read].
+(** Page-fault wait observation: a process-global hook timed around the
+    one place a read blocks on the disk — a buffer-pool page fault's
+    [read].
 
     With no observer installed ({!installed} [= None], the default) the
-    hot paths pay one atomic load and no clock read. The serving layer
-    installs an observer that attributes the wait to the in-flight
+    hot path pays one atomic load and no clock read. The serving layer
+    installs an observer that attributes the wait to the executing
     request's lifecycle record and to the
-    [strategem_stage_latency_us{stage="wal_fsync"|"page_read"}]
-    histograms. The observer is called with the wait's duration in
-    nanoseconds, on the thread that waited, and must not call back into
-    the store. *)
+    [strategem_stage_latency_us{stage="page_read"}] histogram. The
+    observer is called with the wait's duration in nanoseconds, on the
+    thread that waited, and must not call back into the store. *)
 
-type event = Wal_fsync | Page_read
-
-val install : (event -> int -> unit) -> unit
+val install : (int -> unit) -> unit
 val clear : unit -> unit
-val installed : unit -> (event -> int -> unit) option
+val installed : unit -> (int -> unit) option
 
-(** [timed ev f] runs [f], reporting its wall-clock nanoseconds to the
-    installed observer (if any). Used by {!Wal} and {!Pool} internally. *)
-val timed : event -> (unit -> 'a) -> 'a
+(** [timed f] runs [f], reporting its wall-clock nanoseconds to the
+    installed observer (if any). Used by {!Pool} internally. *)
+val timed : (unit -> 'a) -> 'a

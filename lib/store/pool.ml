@@ -142,7 +142,7 @@ let load t page_no ~fresh =
   let fr = t.frames.(idx) in
   if fresh then Bytes.fill fr.data 0 t.page_size '\000'
   else begin
-    Hooks.timed Hooks.Page_read (fun () ->
+    Hooks.timed (fun () ->
         if Hashtbl.mem t.spilled page_no then
           pread t.spill_fd fr.data ~file_off:(page_no * t.page_size)
         else

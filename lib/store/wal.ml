@@ -147,7 +147,7 @@ let write_all fd b =
   go 0
 
 let do_sync t =
-  Hooks.timed Hooks.Wal_fsync (fun () -> Fsync.fsync_fd t.fd);
+  Fsync.fsync_fd t.fd;
   t.syncs <- t.syncs + 1;
   t.dirty <- false;
   t.last_sync <- Unix.gettimeofday ()

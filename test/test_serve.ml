@@ -1,9 +1,9 @@
 (* The serve subsystem: protocol parsing (both the line dialect and v4
-   framing), the admission queue's shed/drain semantics, metrics, the
-   per-form registry (lazy creation, sharing, online climbs), snapshot
-   save/load resumption, and the TCP server end to end in-process —
-   concurrent clients, pipelining, slow/partial frames, load shedding,
-   graceful shutdown. *)
+   framing), metrics, the per-form registry (lazy creation, sharing,
+   online climbs), snapshot save/load resumption, and the TCP server end
+   to end in-process — concurrent clients, deep pipelining and flow
+   control, slow/partial frames, accept-time shedding, loop conformance
+   and isolation, graceful shutdown. *)
 
 open Helpers
 module D = Datalog
@@ -17,6 +17,11 @@ let kb_text =
 let kb () =
   let rules, facts, _ = D.Parser.parse_kb kb_text in
   (D.Rulebase.of_list rules, D.Database.of_list facts)
+
+let contains needle haystack =
+  let n = String.length needle and h = String.length haystack in
+  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
+  go 0
 
 (* ---------- Protocol ---------- *)
 
@@ -168,76 +173,12 @@ let frame_truncation () =
   | Serve.Frame.Corrupt _ -> ()
   | _ -> Alcotest.fail "hostile length accepted"
 
-(* ---------- Admission ---------- *)
-
-let admission_shed_and_drain () =
-  let q = Serve.Admission.create ~depth:2 () in
-  check_bool "push 1" true (Serve.Admission.try_push q 1);
-  check_bool "push 2" true (Serve.Admission.try_push q 2);
-  check_bool "full refuses" false (Serve.Admission.try_push q 3);
-  check_int "length" 2 (Serve.Admission.length q);
-  check_bool "pop 1" true (Serve.Admission.pop q = Some 1);
-  check_bool "room again" true (Serve.Admission.try_push q 4);
-  Serve.Admission.close q;
-  check_bool "closed refuses" false (Serve.Admission.try_push q 5);
-  check_bool "drains 2" true (Serve.Admission.pop q = Some 2);
-  check_bool "drains 4" true (Serve.Admission.pop q = Some 4);
-  check_bool "then None" true (Serve.Admission.pop q = None);
-  check_int "high water" 2 (Serve.Admission.high_water q)
-
-let admission_per_producer_quota () =
-  (* two producers split depth 4 into quotas of 2: a flooding producer
-     is refused at its own share while its peer's slots stay free *)
-  let q = Serve.Admission.create ~producers:2 ~depth:4 () in
-  check_int "quota is the even split" 2 (Serve.Admission.quota q);
-  check_bool "p0 push 1" true (Serve.Admission.try_push ~producer:0 q 1);
-  check_bool "p0 push 2" true (Serve.Admission.try_push ~producer:0 q 2);
-  check_bool "p0 at quota refused" false
-    (Serve.Admission.try_push ~producer:0 q 3);
-  check_bool "p1 unaffected" true (Serve.Admission.try_push ~producer:1 q 4);
-  check_bool "p1 push 2" true (Serve.Admission.try_push ~producer:1 q 5);
-  check_bool "p1 at quota refused" false
-    (Serve.Admission.try_push ~producer:1 q 6);
-  check_int "p0 in queue" 2 (Serve.Admission.producer_length q 0);
-  (* popping p0's head frees one of p0's slots, not p1's *)
-  check_bool "pop fifo" true (Serve.Admission.pop q = Some 1);
-  check_int "p0 released" 1 (Serve.Admission.producer_length q 0);
-  check_bool "p0 has room again" true
-    (Serve.Admission.try_push ~producer:0 q 7);
-  check_bool "p1 still at quota" false
-    (Serve.Admission.try_push ~producer:1 q 8);
-  (* a single producer keeps the historical whole-queue semantics *)
-  let q1 = Serve.Admission.create ~depth:3 () in
-  check_int "solo quota is the depth" 3 (Serve.Admission.quota q1);
-  check_bool "solo fills the queue" true
-    (List.for_all
-       (fun x -> Serve.Admission.try_push q1 x)
-       [ 1; 2; 3 ])
-
-let admission_blocking_pop () =
-  let q = Serve.Admission.create ~depth:4 () in
-  let got = Atomic.make (-1) in
-  let consumer =
-    Thread.create
-      (fun () ->
-        match Serve.Admission.pop q with
-        | Some v -> Atomic.set got v
-        | None -> Atomic.set got (-2))
-      ()
-  in
-  Thread.delay 0.05;
-  check_bool "push wakes consumer" true (Serve.Admission.try_push q 7);
-  Thread.join consumer;
-  check_int "consumer got it" 7 (Atomic.get got)
-
 (* ---------- Metrics ---------- *)
 
 let metrics_counters_and_histogram () =
   let m = Serve.Metrics.create () in
   Serve.Metrics.connection m;
   Serve.Metrics.busy m;
-  Serve.Metrics.observe_queue_depth m 3;
-  Serve.Metrics.observe_queue_depth m 1;
   for i = 1 to 100 do
     Serve.Metrics.query m ~form:"f_1_b"
       ~latency_us:(float_of_int i)
@@ -247,13 +188,7 @@ let metrics_counters_and_histogram () =
   check_int "queries" 100 (Serve.Metrics.queries_total m);
   check_int "climbs" 1 (Serve.Metrics.climbs_total m);
   check_int "busy" 1 (Serve.Metrics.busy_total m);
-  check_int "queue high water" 3 (Serve.Metrics.queue_high_water m);
   let text = String.concat "\n" (Serve.Metrics.render_text m) in
-  let contains needle haystack =
-    let n = String.length needle and h = String.length haystack in
-    let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
-    go 0
-  in
   check_bool "text has totals" true (contains "queries_total 100" text);
   check_bool "text has form line" true (contains "form f_1_b queries 100" text);
   let json = Serve.Metrics.render_json m in
@@ -331,14 +266,11 @@ let snapshot_roundtrip () =
 
 (* ---------- Server end to end (in-process TCP) ---------- *)
 
-let server_config ?(workers = 2) ?(queue_depth = 8) ?max_conns ?state_dir
-    ?(loops = 0) ?(idle_timeout_s = 0.0) ?(max_conns_per_ip = 0) ?max_write_buf
-    () =
+let server_config ?max_conns ?state_dir ?(loops = 0) ?(idle_timeout_s = 0.0)
+    ?(max_conns_per_ip = 0) ?max_write_buf () =
   {
     Serve.Server.default_config with
     port = 0;
-    workers;
-    queue_depth;
     max_conns =
       Option.value max_conns ~default:Serve.Server.default_config.max_conns;
     state_dir;
@@ -350,26 +282,40 @@ let server_config ?(workers = 2) ?(queue_depth = 8) ?max_conns ?state_dir
         ~default:Serve.Server.default_config.max_write_buf;
   }
 
-let start_server ?workers ?queue_depth ?max_conns ?state_dir ?loops
-    ?idle_timeout_s ?max_conns_per_ip ?max_write_buf () =
-  let rulebase, db = kb () in
-  let port = Atomic.make 0 in
+(* Run [cfg] over [rulebase]/[db] on a thread; returns it, the port,
+   and the metrics port (0 when [cfg] has none). *)
+let spawn_server cfg ~rulebase ~db =
+  let port = Atomic.make 0 and mport = Atomic.make 0 in
   let thread =
     Thread.create
       (fun () ->
         Serve.Server.run
           ~on_listen:(fun p -> Atomic.set port p)
-          (server_config ?workers ?queue_depth ?max_conns ?state_dir ?loops
-             ?idle_timeout_s ?max_conns_per_ip ?max_write_buf ())
-          ~rulebase ~db)
+          ~on_metrics_listen:(fun p -> Atomic.set mport p)
+          cfg ~rulebase ~db)
       ()
   in
+  let ready () =
+    Atomic.get port <> 0
+    && (cfg.Serve.Server.metrics_port = None || Atomic.get mport <> 0)
+  in
   let deadline = Unix.gettimeofday () +. 10.0 in
-  while Atomic.get port = 0 && Unix.gettimeofday () < deadline do
+  while (not (ready ())) && Unix.gettimeofday () < deadline do
     Thread.delay 0.01
   done;
-  if Atomic.get port = 0 then Alcotest.fail "server did not start";
-  (thread, Atomic.get port)
+  if not (ready ()) then Alcotest.fail "server did not start";
+  (thread, Atomic.get port, Atomic.get mport)
+
+let start_server ?max_conns ?state_dir ?loops ?idle_timeout_s
+    ?max_conns_per_ip ?max_write_buf () =
+  let rulebase, db = kb () in
+  let thread, port, _ =
+    spawn_server
+      (server_config ?max_conns ?state_dir ?loops ?idle_timeout_s
+         ?max_conns_per_ip ?max_write_buf ())
+      ~rulebase ~db
+  in
+  (thread, port)
 
 let connect port =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -392,13 +338,12 @@ let talk port lines =
   replies
 
 let server_concurrent_clients () =
-  let thread, port = start_server ~workers:2 () in
-  (* Client A parks on a worker; client B must still be answered, which
-     needs the second worker. *)
+  let thread, port = start_server () in
+  (* Client A holds a connection open; client B must still be answered. *)
   let _fd_a, ic_a, oc_a = connect port in
   check_bool "A ping" true (send oc_a "PING"; input_line ic_a = "PONG");
   let replies = talk port [ "QUERY instructor(manolis)"; "QUERY nonsense(" ] in
-  check_bool "B answered while A held a worker" true
+  check_bool "B answered while A held its connection" true
     (match replies with
     | [ a; b ] ->
       a = "ANSWER yes reductions=2 retrievals=2"
@@ -454,74 +399,281 @@ let server_sheds_when_full () =
   ignore fd_a;
   Thread.join thread
 
-(* A server over the genealogy workload, whose free query
-   [relative(X)] is slow enough to park a worker for a while. *)
-let start_genealogy_server ?loops ~workers ~queue_depth () =
-  let rulebase = Workload.Genealogy.rulebase () in
+(* A server over the genealogy workload. *)
+let start_genealogy_server ?loops ?state_dir () =
   let pop = Workload.Genealogy.populate (Stats.Rng.create 5L) ~n_people:2_000 in
-  let db = Workload.Genealogy.db pop in
-  let people = Workload.Genealogy.people pop in
-  let port = Atomic.make 0 in
-  let thread =
+  let thread, port, _ =
+    spawn_server
+      (server_config ?loops ?state_dir ())
+      ~rulebase:(Workload.Genealogy.rulebase ())
+      ~db:(Workload.Genealogy.db pop)
+  in
+  (thread, port)
+
+let is_answer (f : Serve.Frame.t) =
+  f.Serve.Frame.kind = Serve.Frame.Ok
+  && String.length f.Serve.Frame.payload >= 6
+  && String.sub f.Serve.Frame.payload 0 6 = "ANSWER"
+
+(* Read [n] response frames off [ic]; true when ids [1..n] each came
+   back exactly once and [ok] holds for every frame. *)
+let all_answered_once ic ~n ~ok =
+  let seen = Array.make (n + 1) 0 and good = ref true in
+  for _ = 1 to n do
+    let f = Serve.Frame.read ic in
+    let id = f.Serve.Frame.id in
+    if id >= 1 && id <= n then seen.(id) <- seen.(id) + 1 else good := false;
+    if not (ok f) then good := false
+  done;
+  !good && Array.for_all (fun k -> k = 1) (Array.sub seen 1 n)
+
+let stats_line port name =
+  List.find_opt
+    (fun l ->
+      String.length l > String.length name
+      && String.sub l 0 (String.length name + 1) = name ^ " ")
+    (talk port [ "STATS" ])
+
+(* One blocking HTTP GET against the daemon's metrics responder. *)
+let http_get ~port path =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      let req =
+        Printf.sprintf
+          "GET %s HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n" path
+      in
+      ignore (Unix.write_substring fd req 0 (String.length req));
+      let buf = Buffer.create 4096 in
+      let chunk = Bytes.create 4096 in
+      let rec go () =
+        match Unix.read fd chunk 0 4096 with
+        | 0 -> ()
+        | n ->
+          Buffer.add_subbytes buf chunk 0 n;
+          go ()
+      in
+      go ();
+      let raw = Buffer.contents buf in
+      let rec body_start i =
+        if i + 4 > String.length raw then 0
+        else if String.sub raw i 4 = "\r\n\r\n" then i + 4
+        else body_start (i + 1)
+      in
+      let i = body_start 0 in
+      String.sub raw i (String.length raw - i))
+
+let server_v4_deep_pipeline () =
+  (* One v4 connection to a default-config server posts 4000 queries
+     before reading anything: every id is answered exactly once, and
+     nothing is shed — back-pressure is flow control, not BUSY. *)
+  let thread, port = start_server () in
+  let _fd, ic, oc = connect port in
+  let n = 4000 in
+  let writer =
     Thread.create
       (fun () ->
-        Serve.Server.run
-          ~on_listen:(fun p -> Atomic.set port p)
-          (server_config ~workers ~queue_depth ?loops ())
-          ~rulebase ~db)
+        for id = 1 to n do
+          output_string oc
+            (Serve.Frame.encode_string
+               { Serve.Frame.id; kind = Serve.Frame.Query;
+                 payload = "instructor(russ)" })
+        done;
+        flush oc)
       ()
   in
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  while Atomic.get port = 0 && Unix.gettimeofday () < deadline do
-    Thread.delay 0.01
-  done;
-  if Atomic.get port = 0 then Alcotest.fail "server did not start";
-  (thread, Atomic.get port, people)
+  check_bool "all 4000 ids answered once, each with ANSWER" true
+    (all_answered_once ic ~n ~ok:is_answer);
+  Thread.join writer;
+  check_bool "nothing shed" true (stats_line port "busy_total" = Some "busy_total 0");
+  close_in_noerr ic;
+  ignore (talk port [ "SHUTDOWN" ]);
+  Thread.join thread
 
-let server_v4_busy_keeps_conn () =
-  (* request-granular shedding on a framed connection: a shed request
-     answers with a Busy frame carrying its id, and the connection
-     stays open. *)
-  let thread, port, people =
-    start_genealogy_server ~workers:1 ~queue_depth:1 ()
+(* Requests the server has executed so far, summed over its loops. *)
+let executed ~mport =
+  Obs.Expo.parse_samples (http_get ~port:mport "/metrics")
+  |> List.fold_left
+       (fun acc s ->
+         if s.Obs.Expo.metric = "strategem_domain_connections_total" then
+           acc +. s.Obs.Expo.value
+         else acc)
+       0.0
+
+let server_stalled_reader () =
+  (* A client that pipelines HELP requests without reading. The replies
+     add up to more than the default 64 MiB write cap plus what the
+     kernel buffers (at most 4 MiB of send buffer on Linux by default,
+     and this socket's fixed receive buffer),
+     so a server that kept reading and executing would have to shed the
+     connection; instead it stops reading while the connection has
+     unflushed output. The connection stays open, and once the client
+     reads, every reply arrives. *)
+  let rulebase, db = kb () in
+  let thread, port, mport =
+    spawn_server
+      { (server_config ()) with Serve.Server.metrics_port = Some 0 }
+      ~rulebase ~db
   in
-  let c = Serve.Client.connect ~proto:`V4 ~port () in
-  (* park the single worker on the slow free query ... *)
-  let slow = Serve.Client.post c "QUERY relative(X)" in
-  Thread.delay 0.05;
-  (* ... then overflow the depth-1 queue *)
-  let bound =
-    List.init 6 (fun i ->
-        Serve.Client.post c
-          (Printf.sprintf "QUERY relative(%s)" (List.nth people i)))
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  (* a fixed receive buffer keeps the kernel's share of the replies
+     bounded; much smaller than the loopback MSS (64 KiB) and the
+     receiver's window updates stall into zero-window probing *)
+  Unix.setsockopt_int fd Unix.SO_RCVBUF (256 * 1024);
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+  let help = String.length (String.concat "\n" Serve.Protocol.help_lines) in
+  let n = 72 * 1024 * 1024 / help in
+  let writer =
+    Thread.create
+      (fun () ->
+        for id = 1 to n do
+          output_string oc
+            (Serve.Frame.encode_string
+               { Serve.Frame.id; kind = Serve.Frame.Help; payload = "" })
+        done;
+        flush oc)
+      ()
   in
-  let posted = slow :: bound in
-  let responses = List.map (fun _ -> Serve.Client.recv c) posted in
-  check_bool "every response id was posted" true
-    (List.sort compare (List.map fst responses) = List.sort compare posted);
-  check_bool "at least one request shed" true
-    (List.exists (fun (_, lines) -> lines = [ "BUSY" ]) responses);
-  check_bool "the slow query still answered" true
-    (List.exists
-       (fun (id, lines) ->
-         id = slow
-         &&
-         match lines with
-         | [ l ] -> String.length l >= 6 && String.sub l 0 6 = "ANSWER"
-         | _ -> false)
-       responses);
-  (* shedding did not cost the connection *)
-  check_string "conn still usable" "PONG" (Serve.Client.request c "PING");
-  check_string "drains on shutdown" "BYE" (Serve.Client.request c "SHUTDOWN");
-  Serve.Client.close c;
+  (* let the server work until it stops executing: flow control stops
+     it with replies unread; without flow control it would run through
+     every request and overflow *)
+  let deadline = Unix.gettimeofday () +. 20.0 in
+  let rec settle last =
+    Thread.delay 0.3;
+    let now = executed ~mport in
+    if now <> last && Unix.gettimeofday () < deadline then settle now
+    else now
+  in
+  let stalled_at = settle (-1.0) in
+  check_bool "the server stopped executing before the end of the pipeline"
+    true
+    (stalled_at < float_of_int n);
+  check_bool "the stalled conn is still open" true
+    (stats_line port "conns_open" = Some "conns_open 2");
+  check_bool "and was not shed" true
+    (stats_line port "write_overflow_total" = Some "write_overflow_total 0");
+  check_bool "every reply arrives once read" true
+    (all_answered_once ic ~n ~ok:(fun f ->
+         f.Serve.Frame.kind = Serve.Frame.Ok
+         && String.length f.Serve.Frame.payload = help));
+  Thread.join writer;
+  check_bool "nothing shed" true (stats_line port "busy_total" = Some "busy_total 0");
+  close_in_noerr ic;
+  ignore (talk port [ "SHUTDOWN" ]);
+  Thread.join thread
+
+(* The same genealogy stream through a server with [loops] event loops:
+   four v4 connections share the stream, then the learned strategies
+   are read back and snapshotted. Each form's queries are textually
+   identical, so its learner sees one observation sequence however the
+   loops interleave the forms. *)
+let conformance_run ~loops =
+  let dir = temp_dir () in
+  let thread, port = start_genealogy_server ~loops ~state_dir:dir () in
+  let forms = [ "relative"; "sibling"; "inlaw"; "ancestor_of_probe" ] in
+  let stream =
+    List.init 600 (fun i ->
+        Printf.sprintf "QUERY %s(p17)" (List.nth forms (i * 7 mod 11 mod 4)))
+  in
+  let conns = List.init 4 (fun _ -> Serve.Client.connect ~proto:`V4 ~port ()) in
+  let clients =
+    List.mapi
+      (fun k c ->
+        Thread.create
+          (fun () ->
+            let mine = List.filteri (fun i _ -> i mod 4 = k) stream in
+            List.iter (fun q -> ignore (Serve.Client.post c q)) mine;
+            List.iter (fun _ -> ignore (Serve.Client.recv c)) mine;
+            Serve.Client.close c)
+          ())
+      conns
+  in
+  List.iter Thread.join clients;
+  let replies =
+    talk port
+      (List.map (fun f -> Printf.sprintf "STRATEGY %s(q)" f) forms
+      @ [ "SNAPSHOT"; "SHUTDOWN" ])
+  in
+  Thread.join thread;
+  let files =
+    Sys.readdir dir |> Array.to_list |> List.sort compare
+    |> List.map (fun f ->
+           (f, In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all))
+  in
+  (List.filter (fun l -> String.length l > 3 && String.sub l 0 3 = "OK ") replies, files)
+
+let server_loops_conformance () =
+  let s1, f1 = conformance_run ~loops:1 in
+  let s2, f2 = conformance_run ~loops:2 in
+  check_int "every form reports a strategy" 5 (List.length s1);
+  check_bool "identical STRATEGY lines at 1 and 2 loops" true (s1 = s2);
+  check_int "three snapshot files per form" 12 (List.length f1);
+  check_bool "identical snapshot files at 1 and 2 loops" true (f1 = f2)
+
+(* A knowledge base whose free query [relative(X)] is slow: with the
+   answer cache on, its first answer fills the cache with the complete
+   answer set, enumerating every [kin] fact. *)
+let slow_kb ~n =
+  let rules, _, _ =
+    D.Parser.parse_kb "relative(X) :- kin(X).\nrelative(X) :- friend(X).\n"
+  in
+  ( D.Rulebase.of_list rules,
+    D.Database.of_list
+      (List.init n (fun i -> D.Parser.parse_atom (Printf.sprintf "kin(p%d)" i)))
+  )
+
+let server_loop_isolation () =
+  (* Head-of-line blocking stays on its own loop: while a slow free
+     query runs inline on loop 0, a connection owned by loop 1 is
+     served — STATS JSON there shows loop 0 mid-request before and after
+     a PING round trip, and the slow query's reply is still pending.
+     Placement is deterministic on an idle fleet: the first connection
+     lands on loop 0, the second on loop 1. *)
+  let rulebase, db = slow_kb ~n:200_000 in
+  let thread, port, _ = spawn_server (server_config ~loops:2 ()) ~rulebase ~db in
+  let fd_a, ic_a, oc_a = connect port in
+  let _fd_b, ic_b, oc_b = connect port in
+  send oc_a "PING";
+  check_string "loop 0 conn live" "PONG" (input_line ic_a);
+  send oc_b "PING";
+  check_string "loop 1 conn live" "PONG" (input_line ic_b);
+  send oc_a "QUERY relative(X)";
+  (* the per-loop block lists loop 0 first: its depth is 1 exactly while
+     it executes a read *)
+  let loop0_busy () =
+    send oc_b "STATS JSON";
+    contains "\"pipeline_depth\":1},{\"id\":1" (input_line ic_b)
+  in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec wait_busy () =
+    if loop0_busy () then ()
+    else if Unix.gettimeofday () < deadline then wait_busy ()
+    else Alcotest.fail "loop 0 never seen executing the slow query"
+  in
+  wait_busy ();
+  send oc_b "PING";
+  check_string "loop 1 answers during loop 0's slow query" "PONG"
+    (input_line ic_b);
+  check_bool "loop 0 still executing after the PING round trip" true
+    (loop0_busy ());
+  check_bool "the slow query's reply is still pending" true
+    (match Unix.select [ fd_a ] [] [] 0.0 with [], _, _ -> true | _ -> false);
+  let reply = input_line ic_a in
+  check_bool "the slow query is then answered" true
+    (String.length reply >= 6 && String.sub reply 0 6 = "ANSWER");
+  send oc_b "SHUTDOWN";
+  check_string "bye" "BYE" (input_line ic_b);
+  close_in_noerr ic_a;
+  close_in_noerr ic_b;
   Thread.join thread
 
 let server_v4_pipelining () =
-  (* the queue must hold the whole window, or shedding kicks in (that
-     path has its own test) *)
-  let thread, port = start_server ~workers:2 ~queue_depth:64 () in
-  let c = Serve.Client.connect ~proto:`Auto ~port () in
-  check_bool "auto negotiated v4" true (Serve.Client.protocol c = `V4);
+  let thread, port = start_server () in
+  let c = Serve.Client.connect ~proto:`V4 ~port () in
   let banner = Serve.Client.request c "HELLO" in
   check_bool "framed banner carries the v4 version" true
     (String.length banner >= 18
@@ -563,7 +715,7 @@ let server_slow_frame () =
      the loop (other connections stay live) and must still be answered;
      junk after it on the same (now framed) connection draws a
      structured error, then close. *)
-  let thread, port = start_server ~workers:2 () in
+  let thread, port = start_server () in
   let fd, ic, oc = connect port in
   let frame =
     Serve.Frame.encode_string
@@ -594,49 +746,6 @@ let server_slow_frame () =
   ignore fd;
   ignore (talk port [ "SHUTDOWN" ]);
   Thread.join thread
-
-let client_falls_back_to_lines () =
-  (* a fake pre-v4 daemon: line protocol only, where HELLO V4 parses as
-     a malformed HELLO — exactly what a historical server answers. *)
-  let srv = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt srv Unix.SO_REUSEADDR true;
-  Unix.bind srv (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  Unix.listen srv 1;
-  let port =
-    match Unix.getsockname srv with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> assert false
-  in
-  let server =
-    Thread.create
-      (fun () ->
-        let fd, _ = Unix.accept srv in
-        let ic = Unix.in_channel_of_descr fd in
-        let oc = Unix.out_channel_of_descr fd in
-        (try
-           while true do
-             let line = String.trim (input_line ic) in
-             (match String.uppercase_ascii line with
-             | "HELLO V4" ->
-               output_string oc "ERR malformed HELLO takes no argument\n"
-             | "PING" -> output_string oc "PONG\n"
-             | "QUIT" -> output_string oc "BYE\n"
-             | _ -> output_string oc "ERR unknown-verb\n");
-             flush oc
-           done
-         with End_of_file | Sys_error _ -> ());
-        close_in_noerr ic)
-      ()
-  in
-  let c = Serve.Client.connect ~proto:`Auto ~port () in
-  check_bool "fell back to the line dialect" true
-    (Serve.Client.protocol c = `Lines);
-  check_string "and the fallback conn works" "PONG"
-    (Serve.Client.request c "PING");
-  check_string "bye" "BYE" (Serve.Client.request c "QUIT");
-  Serve.Client.close c;
-  Thread.join server;
-  Unix.close srv
 
 let server_snapshot_restart () =
   let dir = temp_dir () in
@@ -670,11 +779,6 @@ let server_snapshot_restart () =
 
 (* ---------- Reactor fleet ---------- *)
 
-let contains needle haystack =
-  let n = String.length needle and h = String.length haystack in
-  let rec go i = i + n <= h && (String.sub haystack i n = needle || go (i + 1)) in
-  go 0
-
 (* Read a multi-line (END-terminated) reply off a persistent line conn. *)
 let read_until_end ic =
   let rec go acc =
@@ -688,7 +792,7 @@ let conn_write_cap_sheds () =
      buffered output, leaves one BUSY, and flags the conn for teardown *)
   let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   let limits = Serve.Conn.limits ~max_buf:32 () in
-  let c = Serve.Conn.create ~id:1 ~loop:0 ~peer:"t" ~ip:"t" ~limits a in
+  let c = Serve.Conn.create ~id:1 ~peer:"t" ~ip:"t" ~limits a in
   Serve.Conn.send c (String.make 16 'x');
   check_bool "under the cap buffers" false (Serve.Conn.overflowed c);
   Serve.Conn.send c (String.make 20 'y');
@@ -712,7 +816,7 @@ let conn_write_cap_sheds () =
   let shared = Serve.Conn.limits ~global_max:50 () in
   let mk id =
     let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    (Serve.Conn.create ~id ~loop:0 ~peer:"t" ~ip:"t" ~limits:shared a, a, b)
+    (Serve.Conn.create ~id ~peer:"t" ~ip:"t" ~limits:shared a, a, b)
   in
   let c1, a1, b1 = mk 2 in
   let c2, a2, b2 = mk 3 in
@@ -760,9 +864,7 @@ let server_fleet_balances_conns () =
 let server_fleet_drains_every_loop () =
   (* graceful shutdown with a slow query in flight on each loop of a
      2-loop fleet: every response must still be flushed by its owner *)
-  let thread, port, _people =
-    start_genealogy_server ~loops:2 ~workers:2 ~queue_depth:8 ()
-  in
+  let thread, port = start_genealogy_server ~loops:2 () in
   let c1 = Serve.Client.connect ~proto:`V4 ~port () in
   let c2 = Serve.Client.connect ~proto:`V4 ~port () in
   let s1 = Serve.Client.post c1 "QUERY relative(X)" in
@@ -906,37 +1008,6 @@ let eventloop_wakeups_coalesce () =
 
 (* ---------- Request lifecycle + flight recorder ---------- *)
 
-(* One blocking HTTP GET against the daemon's metrics responder. *)
-let http_get ~port path =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      let req =
-        Printf.sprintf
-          "GET %s HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n" path
-      in
-      ignore (Unix.write_substring fd req 0 (String.length req));
-      let buf = Buffer.create 4096 in
-      let chunk = Bytes.create 4096 in
-      let rec go () =
-        match Unix.read fd chunk 0 4096 with
-        | 0 -> ()
-        | n ->
-          Buffer.add_subbytes buf chunk 0 n;
-          go ()
-      in
-      go ();
-      let raw = Buffer.contents buf in
-      let rec body_start i =
-        if i + 4 > String.length raw then 0
-        else if String.sub raw i 4 = "\r\n\r\n" then i + 4
-        else body_start (i + 1)
-      in
-      let i = body_start 0 in
-      String.sub raw i (String.length raw - i))
-
 let server_lifecycle_flight_e2e () =
   (* End to end over a 1-loop fleet with a threshold that marks every
      request slow: a pipelined v4 QUERY must surface in the FLIGHT dump
@@ -948,7 +1019,7 @@ let server_lifecycle_flight_e2e () =
   let port = Atomic.make 0 and mport = Atomic.make 0 in
   let cfg =
     {
-      (server_config ~workers:2 ~loops:1 ()) with
+      (server_config ~loops:1 ()) with
       Serve.Server.slow_query_us = 0.001;
       metrics_port = Some 0;
     }
@@ -1167,7 +1238,7 @@ let server_lifecycle_off_still_serves () =
   let port = Atomic.make 0 in
   let cfg =
     {
-      (server_config ~workers:2 ~loops:1 ()) with
+      (server_config ~loops:1 ()) with
       Serve.Server.lifecycle = false;
       flight_capacity = 0;
       retain = 0;
@@ -1236,10 +1307,14 @@ let suite =
         protocol_parse_total;
         frame_roundtrip;
         case "frame truncation and corruption" frame_truncation;
-        case "admission queue sheds and drains" admission_shed_and_drain;
-        case "admission splits depth into per-producer quotas"
-          admission_per_producer_quota;
-        case "admission pop blocks until push" admission_blocking_pop;
+        (* the slow cases whose names carry a number sit at fixed
+           positions (16, 22), so their printed ids stay stable *)
+        slow_case "v4 deep pipeline on one conn sheds nothing"
+          server_v4_deep_pipeline;
+        slow_case "stalled reader is flow-controlled, not shed"
+          server_stalled_reader;
+        slow_case "learning identical at 1 and 2 loops"
+          server_loops_conformance;
         case "write caps shed with BUSY-then-disconnect" conn_write_cap_sheds;
         case "metrics counters and histogram" metrics_counters_and_histogram;
         case "registry canonical forms" registry_forms;
@@ -1248,13 +1323,12 @@ let suite =
         slow_case "server answers concurrent clients" server_concurrent_clients;
         slow_case "server sheds connections past max-conns"
           server_sheds_when_full;
-        slow_case "v4 sheds requests with Busy, conn survives"
-          server_v4_busy_keeps_conn;
+        slow_case "slow query on one loop does not delay another"
+          server_loop_isolation;
         slow_case "v4 pipelines 32 requests on one conn" server_v4_pipelining;
         slow_case "slow partial frame neither blocks nor breaks"
           server_slow_frame;
-        slow_case "client auto-negotiation falls back to lines"
-          client_falls_back_to_lines;
+        case "eventfd wake channel coalesces bursts" eventloop_wakeups_coalesce;
         slow_case "server restart resumes the snapshot" server_snapshot_restart;
         slow_case "fleet balances conns across loops"
           server_fleet_balances_conns;
@@ -1267,7 +1341,6 @@ let suite =
         slow_case "per-ip cap sheds at accept and releases on close"
           server_per_ip_cap;
         slow_case "idle timeout closes quiet conns" server_idle_timeout_closes;
-        case "eventfd wake channel coalesces bursts" eventloop_wakeups_coalesce;
         slow_case "lifecycle traces retained, exported, and linted"
           server_lifecycle_flight_e2e;
         slow_case "lifecycle layer off: serving unaffected"
