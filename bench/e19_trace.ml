@@ -15,7 +15,7 @@
              configuration; |off − off2| is the measurement noise floor
              the <5% bar must be read against.
    - on      a fresh collecting tracer per query, rooted serve span
-             (what a query pays under --trace-sample).
+             (what the TRACE verb pays to collect its tree).
    - on+json the above plus Trace.to_json — the full TRACE verb cost. *)
 
 module D = Datalog

@@ -3,15 +3,15 @@
    The E20 closed-loop Zipf genealogy workload on identical seeds, four
    ways: observability off (no metrics responder, no structured log);
    everything on at production verbosity (metrics responder up,
-   info-level JSONL log to a file, slow-query log armed at 50 ms); on +
+   info-level JSONL log to a file, slow retention armed at 50 ms); on +
    an active scraper hitting GET /metrics at 10 Hz for the whole run;
    and on + debug verbosity, which writes one JSONL record per query —
    a diagnostic mode, shown so its price is a measured number rather
    than a guess. The acceptance bar is that "on" (everything enabled)
    costs < 5% throughput vs "off": metrics updates are atomics and
    sharded histogram mutexes, an info-level log writes only on
-   lifecycle events and slow queries, and a scrape renders outside the
-   hot path.
+   lifecycle events and retained (slow or failed) requests, and a
+   scrape renders outside the hot path.
 
    Each mode runs E21_REPS times (default 3) and reports its best run —
    closed-loop wall times on a shared machine swing several percent

@@ -12,8 +12,8 @@
 
    Two arms against otherwise-identical in-process servers:
 
-   off. lifecycle = false, flight_capacity = 0, retain = 0 — the
-        serving path without the lifecycle layer.
+   off. lifecycle = false, flight_capacity = 0 — the serving path
+        without the lifecycle layer (and so without tail retention).
    on.  the default config — lifecycle on, a 4096-event ring per
         loop, 64 retained traces per loop.
 
@@ -79,7 +79,7 @@ let config ~lifecycle =
     }
   in
   if lifecycle then base
-  else { base with lifecycle = false; flight_capacity = 0; retain = 0 }
+  else { base with lifecycle = false; flight_capacity = 0 }
 
 let start_server ~db ~rulebase ~lifecycle =
   let port = Atomic.make 0 in

@@ -506,10 +506,10 @@ let host_arg =
     & info [ "host" ] ~docv:"ADDR" ~doc:"Address to bind/connect to.")
 
 let run_serve file host port max_conns state_dir
-    snapshot_interval delta learner trace_sample cache_mb no_cache subsume
+    snapshot_interval delta learner cache_mb no_cache subsume
     metrics_port log_level log_file slow_query_ms data_dir buffer_pages loops
     idle_timeout_s max_conns_per_ip max_write_buf_mb max_write_total_mb
-    no_lifecycle flight_capacity retain =
+    no_lifecycle flight_capacity =
   let rulebase, db, _ = load_kb file in
   let db =
     match data_dir with
@@ -546,7 +546,6 @@ let run_serve file host port max_conns state_dir
       snapshot_interval;
       learner;
       learner_config;
-      trace_sample;
       cache_mb = (if no_cache then 0 else cache_mb);
       subsume;
       metrics_port;
@@ -560,7 +559,6 @@ let run_serve file host port max_conns state_dir
       max_conns_per_ip;
       lifecycle = not no_lifecycle;
       flight_capacity;
-      retain;
     }
   in
   Serve.Server.run ~handle_signals:true
@@ -615,15 +613,6 @@ let serve_cmd =
           ~doc:
             "Per-form learner: pib, pib1, pao, pao-adaptive or palo \
              (default pib).")
-  in
-  let trace_sample =
-    Arg.(
-      value & opt int 0
-      & info [ "trace-sample" ] ~docv:"N"
-          ~doc:
-            "Keep the last N query traces in a ring exposed by STATS JSON \
-             (0 disables tracing of ordinary queries; TRACE always \
-             traces).")
   in
   let cache_mb =
     Arg.(
@@ -701,9 +690,10 @@ let serve_cmd =
       value & opt float 0.0
       & info [ "slow-query-ms" ] ~docv:"MS"
           ~doc:
-            "Log queries at or over MS milliseconds at warn level, with \
-             the query's trace span tree inlined (rate limited to one \
-             record per second). 0 disables.")
+            "Treat requests whose end-to-end latency is at or over MS \
+             milliseconds as slow: keep their lifecycle span trees (FLIGHT, \
+             STATS JSON), count them, and log them at warn level with the \
+             tree inlined (at most one record per second). 0 disables.")
   in
   let data_dir =
     Arg.(
@@ -793,15 +783,6 @@ let serve_cmd =
              ring. Dump it with the FLIGHT verb, GET /debug/flight, or \
              SIGQUIT.")
   in
-  let retain =
-    Arg.(
-      value & opt int 64
-      & info [ "retain" ] ~docv:"N"
-          ~doc:
-            "Tail-retained trace buffer size per loop: the full span \
-             trees of the last N slow / error requests, served \
-             by FLIGHT and /debug/flight. 0 disables retention.")
-  in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
@@ -809,10 +790,10 @@ let serve_cmd =
           answered query.")
     Term.(
       const run_serve $ file_arg $ host_arg $ port $ max_conns $ state_dir $ snapshot_interval $ delta_arg $ learner
-      $ trace_sample $ cache_mb $ no_cache $ subsume $ metrics_port $ log_level
+      $ cache_mb $ no_cache $ subsume $ metrics_port $ log_level
       $ log_file $ slow_query_ms $ data_dir $ buffer_pages $ loops
       $ idle_timeout_s $ max_conns_per_ip $ max_write_buf_mb
-      $ max_write_total_mb $ no_lifecycle $ flight_capacity $ retain)
+      $ max_write_total_mb $ no_lifecycle $ flight_capacity)
 
 let client_lines c commands =
   (* Historical CLI behaviour, byte for byte: write every line, half-close

@@ -146,7 +146,7 @@ let close t =
         flush oc;
         if close_on_close then close_out_noerr oc)
 
-(* ---------- rate limiting (the slow-query log) ---------- *)
+(* ---------- rate limiting (the tail-retention record) ---------- *)
 
 module Limiter = struct
   type nonrec t = {

@@ -48,7 +48,7 @@ val error : t -> ?fields:(string * field) list -> string -> unit
 val close : t -> unit
 
 (** Token-bucket-of-one rate limiter — at most one admitted event per
-    [min_interval_s]; used by the slow-query log. *)
+    [min_interval_s]; used by the tail-retention record. *)
 module Limiter : sig
   type t
 

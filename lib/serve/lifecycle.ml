@@ -16,6 +16,8 @@ type t = {
   mutable lc_error : bool;
   mutable lc_page_wait_ns : int;
   mutable lc_page_reads : int;
+  mutable lc_reductions : int;
+  mutable lc_retrievals : int;
   mutable lc_exec : Trace.span option;
 }
 
@@ -38,6 +40,8 @@ let create ~conn ~rid ~loop ~framed ~label ~accept_ns ~frame_ns =
     lc_error = false;
     lc_page_wait_ns = 0;
     lc_page_reads = 0;
+    lc_reductions = 0;
+    lc_retrievals = 0;
     lc_exec = None;
   }
 

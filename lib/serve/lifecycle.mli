@@ -36,8 +36,10 @@ type t = {
   mutable lc_error : bool;        (** error reply, or the conn died *)
   mutable lc_page_wait_ns : int;  (** page-fault read wait *)
   mutable lc_page_reads : int;
+  mutable lc_reductions : int;    (** SLD work of the query answered *)
+  mutable lc_retrievals : int;
   mutable lc_exec : Trace.span option;
-      (** the armed tracer's span tree, when this request was traced *)
+      (** the [TRACE] verb's span tree (the only traced requests) *)
 }
 
 val now_ns : unit -> int64
@@ -84,7 +86,7 @@ val backend_name : backend -> string
       ├── worker  (execution → response enqueued)
       │   ├── cache | cache_derived | sld   (the backend that answered)
       │   │   └── page_read  (when the store faulted pages in)
-      │   └── <armed exec tree>  (when the request was traced)
+      │   └── <serve span tree>  (TRACE requests only)
       └── flush   (response enqueued → bytes drained)
     v}
 

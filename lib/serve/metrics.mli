@@ -1,10 +1,11 @@
-(** Server observability: a thin facade over an {!Obs.Registry}. Every
-    number the daemon reports lives in a registry instrument, so the
-    same underlying counters feed the TCP [STATS]/[STATS JSON] renderers
-    (byte-stable for existing clients — new fields are only ever
-    additive) and the Prometheus [/metrics] endpoint
-    ({!render_prometheus}). Metric names and labels are inventoried in
-    [docs/OBSERVABILITY.md].
+(** Server observability: a thin facade over an {!Obs.Registry}, and
+    the one place a metric is defined. One ordered key table gives each
+    reported number its [STATS] key, its [STATS JSON] block and key, the
+    Prometheus family it is mirrored into, and its reader; the [STATS] /
+    [STATS JSON] renderers (byte-stable for existing clients — new
+    fields are only ever additive) and the [/metrics] collect hook
+    ({!render_prometheus}) all walk it. Every family is registered here.
+    Metric names and labels are inventoried in [docs/OBSERVABILITY.md].
 
     All operations are thread-safe; hot-path updates are lock-sharded
     per time series (see {!Obs.Registry}). Per-form state is created on
@@ -14,46 +15,39 @@
 
 type t
 
-(** [trace_capacity > 0] keeps a ring of the last that many rendered
-    query traces (the daemon's [--trace-sample N]), exposed in the
-    [STATS JSON] [recent_traces] array; [0] (the default) disables
-    sampling. *)
-val create : ?trace_capacity:int -> unit -> t
+val create : unit -> t
 
 (** Version of the frozen [STATS JSON] schema (the [schema] field;
-    documented field-by-field in [docs/SERVING.md] — derived from the
-    registry since the observability layer landed). *)
+    documented field-by-field in [docs/SERVING.md]). *)
 val schema_version : int
 
-(** The backing registry, for callers that add their own instruments
-    (the server's slow-query counter) or render it directly. *)
-val registry : t -> Obs.Registry.t
-
 (** The whole registry in Prometheus text exposition format 0.0.4 —
-    the [GET /metrics] body. Runs the collect hooks (cache mirror,
-    uptime). *)
+    the [GET /metrics] body. Runs the collect hook, which mirrors the
+    key table's externally kept readings (uptime, forms, loops, cache,
+    memo, store) into their families. *)
 val render_prometheus : t -> string
 
-(** {1 Domains}
-
-    Every event loop is a domain that executes its requests inline, so
-    the domain count is the loop count ({!set_loops}), rendered as the
-    [strategem_domains] gauge and the additive [domains] STATS field. *)
-
-val domains : t -> int
-
-(** Per-domain hot-path handles, obtained once by each loop at spawn:
-    [strategem_domain_connections_total{domain}] and
-    [strategem_domain_busy_us_total{domain}]. *)
-type domain_handles
-
-val domain_handles : t -> domain:int -> domain_handles
-
-(** One request executed by this domain, which spent [busy_us] on it
-    (head-of-line wait excluded). Before the event-loop front end the
-    unit was a whole connection; the metric names are frozen, the
-    granularity is not. *)
-val domain_served : domain_handles -> busy_us:float -> unit
+(** Attach what the server reads but does not count itself: its fleet
+    size (the [strategem_loops] and [strategem_domains] gauges, the
+    [loops] and [domains] STATS fields — the loops are the domains), its
+    reactor backend ("epoll" / "select", in the STATS JSON [protocol]
+    block), its database (a paged one adds the [store] rows), its answer
+    cache and
+    subgoal memo (the [cache] rows render from attach on, zeroed and
+    [enabled 0] when [cache] is [None]), and its tail-retained traces
+    (the [STATS JSON] [recent_traces] array, oldest first, present
+    exactly when non-empty). Until attached — a bare [create ()] — none
+    of those rows render. The readers are called outside the metrics
+    lock. *)
+val attach :
+  t ->
+  loops:int ->
+  backend:string ->
+  db:Datalog.Database.t ->
+  cache:Cache.Answers.t option ->
+  memo:Datalog.Sld.Memo.t option ->
+  retained:(unit -> string list) ->
+  unit
 
 (** {1 Events} *)
 
@@ -83,17 +77,12 @@ val cache_filter : t -> float -> unit
 val conn_opened : t -> unit
 
 val conn_closed : t -> unit
-val conns_open : t -> int
 
 (** The [strategem_pipeline_depth] gauge: requests parsed whose
     responses have not yet been enqueued (the reads the loops are
     executing), across all connections; an all-time high water is kept
     as [strategem_pipeline_depth_high_water]. *)
 val set_pipeline_depth : t -> int -> unit
-
-(** The reactor backend ("epoll" / "select"), surfaced in the STATS JSON
-    [protocol] block. *)
-val set_backend : t -> string -> unit
 
 (** {1 Reactor fleet}
 
@@ -102,21 +91,23 @@ val set_backend : t -> string -> unit
     contends. Rendered as the additive [loops] STATS field and the
     [loops] block ([count] plus a [per_loop] array) in [STATS JSON]. *)
 
-(** Record the fleet size ([strategem_loops] and [strategem_domains]
-    gauges, [loops] and [domains] STATS fields). *)
-val set_loops : t -> int -> unit
-
-val loops : t -> int
-
 (** Per-loop hot-path handles: [strategem_loop_conns_open{loop}],
     [strategem_loop_wakeups_total{loop}],
-    [strategem_loop_pipeline_depth{loop}]. *)
+    [strategem_loop_pipeline_depth{loop}], and — every loop being a
+    domain that executes its requests inline —
+    [strategem_domain_connections_total{domain}] and
+    [strategem_domain_busy_us_total{domain}]. *)
 type loop_handles
 
 val loop_handles : t -> loop:int -> loop_handles
+
+(** One request executed by this loop's domain, which spent [busy_us]
+    on it (head-of-line wait excluded). Before the event-loop front end
+    the unit was a whole connection; the metric names are frozen, the
+    granularity is not. *)
+val domain_served : loop_handles -> busy_us:float -> unit
 val loop_conn_opened : loop_handles -> unit
 val loop_conn_closed : loop_handles -> unit
-val loop_conns : loop_handles -> int
 
 (** Mirror the loop's monotonic coalesced-wake count
     ({!Eventloop.wakeups}) into its counter series. *)
@@ -136,16 +127,12 @@ val observe_stage : loop_handles -> stage:string -> float -> unit
     ([strategem_lifecycle_requests_total]). *)
 val lifecycle_finalized : t -> unit
 
-val lifecycle_requests : t -> int
-
 (** A finalized request's trace was kept by tail-based retention
     ([strategem_traces_retained_total{reason}]); [seq] becomes the
     loop's exemplar gauge ([strategem_trace_retained_exemplar{loop}]).
-    [reason] is one of [slow], [error]. *)
+    [reason] is one of [slow], [error]; a [slow] retention also counts
+    [strategem_slow_queries_total], so the two always agree. *)
 val trace_retained : t -> loop_handles -> reason:string -> seq:int -> unit
-
-(** Traces retained across all reasons since start. *)
-val traces_retained : t -> int
 
 (** A connection breached a write-buffer cap: its buffered output
     ([shed_bytes]) was dropped, one [BUSY] took its place, and the loop
@@ -153,25 +140,12 @@ val traces_retained : t -> int
     [strategem_write_shed_bytes_total]). *)
 val write_overflow : t -> shed_bytes:int -> unit
 
-(** Late-reported shed bytes (flushed after the overflow was counted). *)
-val write_shed_bytes : t -> int -> unit
-
 (** A connection hit [--idle-timeout-s] ([strategem_idle_closed_total]). *)
 val idle_closed : t -> unit
 
 (** An accept was refused by [--max-conns-per-ip]
     ([strategem_ip_limited_total]). *)
 val ip_limited : t -> unit
-
-(** Is trace sampling on ([trace_capacity > 0])? *)
-val trace_sampling : t -> bool
-
-(** Add one rendered trace (a {!Trace.to_json} line) to the sample ring;
-    no-op when sampling is off. *)
-val trace : t -> string -> unit
-
-(** Sampled traces, oldest first ([[]] when sampling is off). *)
-val recent_traces : t -> string list
 
 (** One answered query: latency, whether an answer was found, and whether
     it triggered a strategy climb. *)
@@ -197,76 +171,15 @@ val learner_progress :
   finished:bool ->
   unit
 
-(** {1 Cache} *)
-
-(** A point-in-time view of the serving caches, pulled from the cache's
-    own counters when rendering (the cache layer is below [Serve] and
-    keeps its own thread-safe counters; metrics never double-count). *)
-type cache_stats = {
-  enabled : bool;
-  hits : int;  (** answer-cache hits *)
-  misses : int;
-  evictions : int;
-  invalidations : int;  (** entries dropped after a DB mutation *)
-  entries : int;
-  bytes : int;  (** estimated resident bytes *)
-  capacity_bytes : int;
-  memo_hits : int;  (** subgoal-memo hits (SLD tabling-lite) *)
-  memo_misses : int;
-  memo_invalidations : int;
-  memo_entries : int;
-  subsume : bool;  (** subsumption index / derived hits enabled *)
-  derived_hits : int;
-      (** lookups answered by filtering a more general entry's answer set *)
-  derived_scan_entries : int;
-      (** candidate generalizations examined across subsumption probes *)
-  subsume_misses : int;  (** probes that found no usable generalization *)
-  index_keys : int;  (** keys registered in the subsumption index *)
-}
-
-(** All-zero, [enabled = false] — what a cacheless server reports. *)
-val no_cache_stats : cache_stats
-
-(** Install the provider the renderers pull {!cache_stats} through. The
-    provider is called outside the metrics lock. *)
-val set_cache_provider : t -> (unit -> cache_stats) -> unit
-
-(** Current cache stats via the provider, if one is installed. *)
-val cache_stats : t -> cache_stats option
-
-(** Version of the [cache] block inside [STATS JSON] (independent of
-    {!schema_version}; the block is additive). *)
-val cache_block_version : int
-
-(** {1 Paged store}
-
-    When the daemon serves from a paged database ([--data-dir]), its
-    {!Store.stats} counters are mirrored into [strategem_store_*]
-    instruments on every collect, appended as additive [store_*] lines
-    to [STATS], and rendered as the [store] block in [STATS JSON]. An
-    in-memory daemon installs no provider and reports none of them. *)
-
-type store_stats = Store.stats
-
-(** Install the provider the renderers pull {!store_stats} through
-    (typically [Database.store_stats] partially applied). Called outside
-    the metrics lock. *)
-val set_store_provider : t -> (unit -> store_stats) -> unit
-
-(** Current store stats via the provider, if one is installed. *)
-val store_stats : t -> store_stats option
-
-(** Version of the [store] block inside [STATS JSON]. *)
-val store_block_version : int
-
 (** {1 Reads} *)
 
 val queries_total : t -> int
 val climbs_total : t -> int
 val busy_total : t -> int
 
-(** [STATS] body: one [key value] line per counter, then one [form ...]
-    line per query form (sorted by form key). Deterministic field order. *)
+(** [STATS] body: one [key value] line per key-table row with a text
+    key, then one [form ...] line per query form (sorted by form key).
+    Deterministic field order. *)
 val render_text : t -> string list
 
 (** The same data as a single JSON object (one line). *)

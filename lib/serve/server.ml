@@ -9,13 +9,12 @@ type config = {
   snapshot_interval : float;
   learner : Core.Learner.kind;
   learner_config : Core.Learner.config;
-  trace_sample : int;
   cache_mb : int;  (* answer-cache budget; 0 disables caching + memo *)
   subsume : bool;  (* subsumption index + derived hits (needs cache_mb > 0) *)
   metrics_port : int option;  (* /metrics + /healthz HTTP port; 0 = ephemeral *)
   log_level : Obs.Log.level option;  (* None = structured logging off *)
   log_file : string option;  (* None = stderr *)
-  slow_query_us : float;  (* 0. = slow-query log off *)
+  slow_query_us : float;  (* 0. = slow retention off *)
   loops : int;  (* event loops in the reactor fleet; 0 = one per core *)
   max_write_buf : int;  (* per-conn write-buffer cap, bytes; 0 = off *)
   max_write_total : int;  (* global write-buffer cap, bytes; 0 = off *)
@@ -23,7 +22,6 @@ type config = {
   max_conns_per_ip : int;  (* accept-time per-IP cap; 0 = off *)
   lifecycle : bool;  (* per-request lifecycle tracking (spans + stages) *)
   flight_capacity : int;  (* per-loop flight-recorder ring; 0 = off *)
-  retain : int;  (* tail-retained trace buffer, per loop; 0 = off *)
 }
 
 let default_config =
@@ -35,7 +33,6 @@ let default_config =
     snapshot_interval = 0.0;
     learner = `Pib;
     learner_config = Core.Learner.default_config;
-    trace_sample = 0;
     cache_mb = 64;
     subsume = true;
     metrics_port = None;
@@ -49,8 +46,10 @@ let default_config =
     max_conns_per_ip = 0;
     lifecycle = true;
     flight_capacity = 4096;
-    retain = 64;
   }
+
+(* Tail-retained traces kept per loop, newest wins. *)
+let retain = 64
 
 (* The verdict on one request. [R_lines (lines, multi)] renders as the
    lines (END-terminated when [multi]) on a line connection and as one
@@ -70,7 +69,6 @@ type loop_state = {
   lid : int;
   ev : Eventloop.t;
   lh : Metrics.loop_handles;
-  dh : Metrics.domain_handles;
   (* every connection this loop owns, by id *)
   conns : (int, Conn.t) Hashtbl.t;
   (* acceptor → loop handoff: freshly accepted sockets
@@ -123,21 +121,11 @@ type state = {
   registry : Registry.t;
   db : D.Database.t;
   log : Obs.Log.t;
-  (* at most one slow-query record per second; the rest are counted *)
-  slow_limiter : Obs.Log.Limiter.t;
-  (* one-shot "trace the next query" flag: tracing every query just in
-     case it turns out slow costs ~15% throughput (E21), so instead a
-     slow query detected without a live tracer arms this, and the next
-     query runs traced — a consistently slow workload gets its span
-     tree into the next admitted record at the cost of one traced query
-     per record *)
-  trace_next : bool Atomic.t;
-  c_slow : Obs.Registry.Counter.t;
   (* global sequence over retained traces, so `strategem tail` can
      dedupe across loops *)
   retained_seq : int Atomic.t;
-  (* at most one auto flight dump per second; the rest are counted *)
-  flight_limiter : Obs.Log.Limiter.t;
+  (* at most one retention record per second; the rest are counted *)
+  retain_limiter : Obs.Log.Limiter.t;
   conn_seq : int Atomic.t;  (* connection ids, for log correlation *)
   (* acceptor-only rotation for power-of-two-choices placement *)
   accept_rr : int Atomic.t;
@@ -227,8 +215,8 @@ let encode_reply ~framed ~rid reply =
 (* --- request handlers (pure of socket I/O) --- *)
 
 (* Answer [q] through the registry, under a [serve] root span when
-   [tracer] is enabled, and record the query metrics. Returns the answer
-   and its latency (exceptions escape). *)
+   [tracer] is enabled (the TRACE verb), and record the query metrics.
+   Returns the answer and its latency (exceptions escape). *)
 let answer_traced st ~t0 tracer q =
   let root =
     if Trace.enabled tracer then
@@ -240,8 +228,8 @@ let answer_traced st ~t0 tracer q =
       st.registry ~db:st.db q
   in
   Trace.finish tracer root;
-  (* lifecycle attribution: which backend answered, and — when this
-     query ran traced — the exec span tree, grafted under the record's
+  (* lifecycle attribution: which backend answered at what SLD cost,
+     and — for TRACE — the exec span tree, grafted under the record's
      worker span at export *)
   (match Lifecycle.current () with
   | Some lc ->
@@ -250,6 +238,8 @@ let answer_traced st ~t0 tracer q =
          if ans.Core.Live.derived then Lifecycle.B_cache_derived
          else Lifecycle.B_cache
        else Lifecycle.B_sld);
+    lc.Lifecycle.lc_reductions <- ans.Core.Live.stats.D.Sld.reductions;
+    lc.Lifecycle.lc_retrievals <- ans.Core.Live.stats.D.Sld.retrievals;
     if Trace.enabled tracer then
       lc.Lifecycle.lc_exec <- Trace.root_span tracer
   | None -> ());
@@ -259,17 +249,11 @@ let answer_traced st ~t0 tracer q =
     ~latency_us
     ~answered:(ans.Core.Live.result <> None)
     ~switched:ans.Core.Live.switched;
-  if Metrics.trace_sampling st.metrics && Trace.enabled tracer then
-    Option.iter
-      (fun sp -> Metrics.trace st.metrics (Trace.to_json sp))
-      (Trace.root_span tracer);
   (ans, latency_us)
 
-(* Per-query log records: a debug record for every answered query, plus a
-   rate-limited warn record — with the query's span tree inlined — for
-   queries at or over the slow-query threshold. *)
-let log_query st ~conn ~qid ~latency_us ~tracer atom_text
-    (ans : Core.Live.answer) =
+(* The per-query debug record. Slow requests are logged at finalize,
+   with tail retention. *)
+let log_query st ~conn ~qid ~latency_us atom_text (ans : Core.Live.answer) =
   if Obs.Log.enabled st.log Obs.Log.Debug then
     Obs.Log.debug st.log "query answered"
       ~fields:
@@ -282,37 +266,7 @@ let log_query st ~conn ~qid ~latency_us ~tracer atom_text
           ("cached", Obs.Log.B ans.Core.Live.cached);
           ("derived", Obs.Log.B ans.Core.Live.derived);
           ("switched", Obs.Log.B ans.Core.Live.switched);
-        ];
-  if st.cfg.slow_query_us > 0.0 && latency_us >= st.cfg.slow_query_us then begin
-    Obs.Registry.Counter.inc st.c_slow;
-    match
-      Obs.Log.Limiter.admit st.slow_limiter ~now:(Unix.gettimeofday ())
-    with
-    | None -> ()
-    | Some suppressed ->
-      let span =
-        match Trace.root_span tracer with
-        | Some sp -> Trace.to_json sp
-        | None ->
-          (* no tracer was live for this one — arm a trace for the next
-             query so the next admitted record carries a span tree *)
-          Atomic.set st.trace_next true;
-          "null"
-      in
-      Obs.Log.warn st.log "slow query"
-        ~fields:
-          [
-            ("conn", Obs.Log.I conn);
-            ("query", Obs.Log.I qid);
-            ("q", Obs.Log.S atom_text);
-            ("latency_us", Obs.Log.F latency_us);
-            ("threshold_us", Obs.Log.F st.cfg.slow_query_us);
-            ("suppressed", Obs.Log.I suppressed);
-            ("reductions", Obs.Log.I ans.Core.Live.stats.D.Sld.reductions);
-            ("retrievals", Obs.Log.I ans.Core.Live.stats.D.Sld.retrievals);
-            ("span", Obs.Log.J span);
-          ]
-  end
+        ]
 
 (* The paper-cost total of the trace's [exec] spans, checked against the
    cost the learner pipeline recorded — the built-in consistency check on
@@ -346,21 +300,8 @@ let with_query st atom_text f =
 
 let handle_query st ~conn ~qid ~t0 atom_text =
   with_query st atom_text (fun q ->
-      (* Slow-query mode traces only when armed by a previous slow
-         detection (see [trace_next]) — never speculatively. *)
-      let tracer =
-        if
-          Metrics.trace_sampling st.metrics
-          || st.cfg.slow_query_us > 0.0
-             (* plain read first: the flag is almost always false, and a
-                CAS per query on a shared line costs real throughput *)
-             && Atomic.get st.trace_next
-             && Atomic.compare_and_set st.trace_next true false
-        then Trace.make ()
-        else Trace.null
-      in
-      let ans, latency_us = answer_traced st ~t0 tracer q in
-      log_query st ~conn ~qid ~latency_us ~tracer atom_text ans;
+      let ans, latency_us = answer_traced st ~t0 Trace.null q in
+      log_query st ~conn ~qid ~latency_us atom_text ans;
       R_lines
         ( [
             Protocol.answer_line ~derived:ans.Core.Live.derived
@@ -376,7 +317,7 @@ let handle_trace st ~conn ~qid ~t0 atom_text =
   with_query st atom_text (fun q ->
       let tracer = Trace.make () in
       let ans, latency_us = answer_traced st ~t0 tracer q in
-      log_query st ~conn ~qid ~latency_us ~tracer atom_text ans;
+      log_query st ~conn ~qid ~latency_us atom_text ans;
       let paper_cost = exec_cost_of_trace tracer in
       let monitor_cost = ans.Core.Live.cost in
       let span_json =
@@ -435,6 +376,31 @@ let handle_snapshot st =
     Metrics.error st.metrics;
     R_err (`Internal, msg)
 
+(* Every loop's retained entries as [(loop, entry)], each loop's newest
+   first. *)
+let retained_entries st =
+  Array.to_list st.loops
+  |> List.concat_map (fun ls ->
+         Mutex.lock ls.ret_lock;
+         let r = ls.retained in
+         Mutex.unlock ls.ret_lock;
+         List.map (fun e -> (ls.lid, e)) r)
+
+let retained_json (lid, e) =
+  Printf.sprintf
+    "{\"seq\":%d,\"loop\":%d,\"conn\":%d,\"rid\":%d,\"reason\":\"%s\",\
+     \"total_us\":%.0f,\"span\":%s}"
+    e.re_seq lid e.re_lc.Lifecycle.lc_conn e.re_lc.Lifecycle.lc_rid e.re_reason
+    e.re_total_us
+    (Trace.to_json (Lifecycle.to_span e.re_lc))
+
+(* STATS JSON [recent_traces]: every loop's retained entries, oldest
+   first by sequence number. *)
+let recent_traces st =
+  retained_entries st
+  |> List.sort (fun (_, a) (_, b) -> compare a.re_seq b.re_seq)
+  |> List.map retained_json
+
 (* The flight-recorder dump: every loop's ring (merged, time-ordered)
    plus every loop's tail-retained traces, as one JSON object. Safe from
    any thread — ring snapshots validate sequence stamps, the retained
@@ -459,25 +425,8 @@ let flight_json st =
       Buffer.add_string buf (Obs.Flight.event_to_json e))
     events;
   Buffer.add_string buf "],\"retained\":[";
-  let retained =
-    Array.to_list st.loops
-    |> List.concat_map (fun ls ->
-           Mutex.lock ls.ret_lock;
-           let r = ls.retained in
-           Mutex.unlock ls.ret_lock;
-           List.rev_map (fun e -> (ls.lid, e)) r |> List.rev)
-  in
-  List.iteri
-    (fun i (lid, e) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"seq\":%d,\"loop\":%d,\"conn\":%d,\"rid\":%d,\
-            \"reason\":\"%s\",\"total_us\":%.0f,\"span\":%s}"
-           e.re_seq lid e.re_lc.Lifecycle.lc_conn e.re_lc.Lifecycle.lc_rid
-           e.re_reason e.re_total_us
-           (Trace.to_json (Lifecycle.to_span e.re_lc))))
-    retained;
+  Buffer.add_string buf
+    (String.concat "," (List.map retained_json (retained_entries st)));
   Buffer.add_string buf "]}";
   Buffer.contents buf
 
@@ -653,7 +602,8 @@ let finalize_lc st ls (lc : Lifecycle.t) =
     Metrics.observe_stage ls.lh ~stage:"page_read"
       (float_of_int lc.lc_page_wait_ns /. 1e3);
   Metrics.lifecycle_finalized st.metrics;
-  (* tail-based retention *)
+  (* tail-based retention, the one place a slow or failed request is
+     counted, kept and logged *)
   let total_us = Int64.to_float total /. 1e3 in
   let reason =
     if lc.lc_error then Some "error"
@@ -663,7 +613,6 @@ let finalize_lc st ls (lc : Lifecycle.t) =
   in
   match reason with
   | None -> ()
-  | Some _ when st.cfg.retain <= 0 -> ()
   | Some reason ->
     let seq = Atomic.fetch_and_add st.retained_seq 1 in
     let entry =
@@ -672,17 +621,17 @@ let finalize_lc st ls (lc : Lifecycle.t) =
     Mutex.lock ls.ret_lock;
     ls.retained <- entry :: ls.retained;
     ls.retained_n <- ls.retained_n + 1;
-    if ls.retained_n > st.cfg.retain then begin
-      ls.retained <- take st.cfg.retain ls.retained;
-      ls.retained_n <- st.cfg.retain
+    if ls.retained_n > retain then begin
+      ls.retained <- take retain ls.retained;
+      ls.retained_n <- retain
     end;
     Mutex.unlock ls.ret_lock;
     Metrics.trace_retained st.metrics ls.lh ~reason ~seq;
-    (* the automatic flight dump a retained request triggers: the
-       loop's recent ring events, inlined in one rate-limited record *)
+    (* one rate-limited record per admission: the request's span tree
+       and the loop's recent ring events, rendered only when admitted *)
     if Obs.Log.enabled st.log Obs.Log.Warn then
       match
-        Obs.Log.Limiter.admit st.flight_limiter ~now:(Unix.gettimeofday ())
+        Obs.Log.Limiter.admit st.retain_limiter ~now:(Unix.gettimeofday ())
       with
       | None -> ()
       | Some suppressed ->
@@ -691,16 +640,21 @@ let finalize_lc st ls (lc : Lifecycle.t) =
           take 16 (List.rev events) |> List.rev
           |> List.map Obs.Flight.event_to_json
         in
-        Obs.Log.warn st.log "flight: request trace retained"
+        Obs.Log.warn st.log "request trace retained"
           ~fields:
             [
+              ("reason", Obs.Log.S reason);
+              ("request", Obs.Log.S lc.lc_label);
               ("loop", Obs.Log.I ls.lid);
               ("conn", Obs.Log.I lc.lc_conn);
               ("rid", Obs.Log.I lc.lc_rid);
-              ("reason", Obs.Log.S reason);
               ("total_us", Obs.Log.F total_us);
+              ("threshold_us", Obs.Log.F st.cfg.slow_query_us);
               ("retained_seq", Obs.Log.I seq);
               ("suppressed", Obs.Log.I suppressed);
+              ("reductions", Obs.Log.I lc.lc_reductions);
+              ("retrievals", Obs.Log.I lc.lc_retrievals);
+              ("span", Obs.Log.J (Trace.to_json (to_span lc)));
               ("events", Obs.Log.J ("[" ^ String.concat "," tail ^ "]"));
             ]
 
@@ -789,7 +743,7 @@ let execute st ls c ~read_ns ~parse_ns ~framed ~rid req =
   if lc <> None then Lifecycle.set_current None;
   respond st ls c ~framed ~rid lc reply;
   if req = Protocol.Shutdown then initiate_shutdown st;
-  Metrics.domain_served ls.dh ~busy_us:((Unix.gettimeofday () -. t0) *. 1e6)
+  Metrics.domain_served ls.lh ~busy_us:((Unix.gettimeofday () -. t0) *. 1e6)
 
 let run_one st ls c ~read_ns (inc, parse_ns) =
   match inc with
@@ -1162,7 +1116,6 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
     invalid_arg "Server.run: idle_timeout_s must be >= 0";
   if cfg.max_conns_per_ip < 0 then
     invalid_arg "Server.run: max_conns_per_ip must be >= 0";
-  if cfg.retain < 0 then invalid_arg "Server.run: retain must be >= 0";
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
   let log =
@@ -1174,7 +1127,7 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
       | None -> Obs.Log.to_channel ~level stderr)
   in
   if cfg.log_level <> None then Obs.Log.install_logs_reporter log;
-  let metrics = Metrics.create ~trace_capacity:cfg.trace_sample () in
+  let metrics = Metrics.create () in
   let registry =
     Registry.create ~learner:cfg.learner ~config:cfg.learner_config ~rulebase
       metrics
@@ -1201,7 +1154,6 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
           lid;
           ev = Eventloop.create ();
           lh = Metrics.loop_handles metrics ~loop:lid;
-          dh = Metrics.domain_handles metrics ~domain:lid;
           conns = Hashtbl.create 64;
           inc_lock = Mutex.create ();
           incoming = Queue.create ();
@@ -1217,8 +1169,6 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
           retained_n = 0;
         })
   in
-  Metrics.set_loops metrics n_loops;
-  Metrics.set_backend metrics (Eventloop.backend fleet.(0).ev);
   let cache =
     if cfg.cache_mb > 0 then
       Some
@@ -1227,12 +1177,6 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
     else None
   in
   let memo = if cfg.cache_mb > 0 then Some (D.Sld.Memo.create ()) else None in
-  let c_slow =
-    Obs.Registry.Counter.solo
-      (Obs.Registry.Counter.v (Metrics.registry metrics)
-         ~help:"Queries at or over the slow-query threshold"
-         "strategem_slow_queries_total")
-  in
   let st =
     {
       cfg;
@@ -1240,11 +1184,8 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
       registry;
       db;
       log;
-      slow_limiter = Obs.Log.Limiter.create ~min_interval_s:1.0;
-      trace_next = Atomic.make false;
-      c_slow;
       retained_seq = Atomic.make 0;
-      flight_limiter = Obs.Log.Limiter.create ~min_interval_s:1.0;
+      retain_limiter = Obs.Log.Limiter.create ~min_interval_s:1.0;
       conn_seq = Atomic.make 1;
       accept_rr = Atomic.make 0;
       cache;
@@ -1268,45 +1209,10 @@ let run ?(handle_signals = false) ?(on_listen = fun _ -> ())
     Store.Hooks.install (fun ns ->
         Option.iter (fun lc -> Lifecycle.add_page_wait lc ns)
           (Lifecycle.current ()));
-  (* A paged (or copy-of-paged) database exposes its store counters;
-     an in-memory one reports no store block at all. *)
-  (match D.Database.store_stats st.db with
-  | Some _ ->
-    Metrics.set_store_provider metrics (fun () ->
-        match D.Database.store_stats st.db with
-        | Some ss -> ss
-        | None -> assert false)
-  | None -> ());
-  Metrics.set_cache_provider metrics (fun () ->
-      match st.cache with
-      | None -> Metrics.no_cache_stats
-      | Some c ->
-        let a = Cache.Answers.counters c in
-        let m =
-          match st.memo with
-          | Some m -> D.Sld.Memo.counters m
-          | None ->
-            D.Sld.Memo.{ hits = 0; misses = 0; invalidations = 0; entries = 0 }
-        in
-        {
-          Metrics.enabled = true;
-          hits = a.Cache.Answers.hits;
-          misses = a.Cache.Answers.misses;
-          evictions = a.Cache.Answers.evictions;
-          invalidations = a.Cache.Answers.invalidations;
-          entries = a.Cache.Answers.entries;
-          bytes = a.Cache.Answers.bytes;
-          capacity_bytes = a.Cache.Answers.capacity_bytes;
-          memo_hits = m.D.Sld.Memo.hits;
-          memo_misses = m.D.Sld.Memo.misses;
-          memo_invalidations = m.D.Sld.Memo.invalidations;
-          memo_entries = m.D.Sld.Memo.entries;
-          subsume = Cache.Answers.subsume_enabled c;
-          derived_hits = a.Cache.Answers.derived_hits;
-          derived_scan_entries = a.Cache.Answers.derived_scanned;
-          subsume_misses = a.Cache.Answers.subsume_misses;
-          index_keys = a.Cache.Answers.index_keys;
-        });
+  Metrics.attach metrics ~loops:n_loops
+    ~backend:(Eventloop.backend fleet.(0).ev)
+    ~db ~cache ~memo
+    ~retained:(fun () -> recent_traces st);
   (* The metrics responder is created inside the protected body (after
      the main socket binds, so a busy serve port can't leak it) but must
      be torn down on any exit path, hence the ref. *)

@@ -55,11 +55,6 @@ type config = {
   snapshot_interval : float;      (** seconds; [0.] = periodic off *)
   learner : Core.Learner.kind;    (** per-form learner ([--learner]) *)
   learner_config : Core.Learner.config;
-  trace_sample : int;
-      (** keep the last [N] query traces in a ring exposed by
-          [STATS JSON] ([recent_traces]); [0] = sampling off. Tracing a
-          query costs span allocations, so the default is off; [TRACE]
-          always traces its own query regardless. *)
   cache_mb : int;
       (** answer-cache budget in MiB ([--cache-mb]); [0] ([--no-cache])
           disables both the answer cache and subgoal memoization. Cached
@@ -86,13 +81,12 @@ type config = {
   log_file : string option;
       (** structured-log destination ([--log-file]); [None] = stderr. *)
   slow_query_us : float;
-      (** queries at or over this latency are counted
-          ([strategem_slow_queries_total]) and logged at [warn] — rate
-          limited to one record per second ([--slow-query-ms]); [0.] =
-          off. A slow detection arms tracing for the next query, so
-          under consistently slow traffic the admitted records carry
-          the query's span tree inlined, without paying for speculative
-          tracing of every query (see E21). *)
+      (** requests whose end-to-end latency (read to flush) is at or
+          over this many microseconds are slow ([--slow-query-ms]; [0.]
+          = off): tail retention keeps their span trees, counts them in
+          [strategem_slow_queries_total], and logs them at [warn] —
+          rate limited to one record per second, each record carrying
+          the request's span tree. Needs [lifecycle]. *)
   loops : int;
       (** event loops in the reactor fleet ([--loops]); [0] (the
           default) runs one per core
@@ -126,24 +120,22 @@ type config = {
           waits attributed while it executes. Finalized records feed
           [strategem_stage_latency_us{stage, loop}], the flight
           recorder, and tail-based retention (the full span tree is
-          kept only for slow / error requests, in a bounded per-loop
-          buffer served by [FLIGHT] / [/debug/flight]). *)
+          kept only for slow / error requests, the newest 64 per loop,
+          served by [FLIGHT], [/debug/flight] and the [STATS JSON]
+          [recent_traces] array). *)
   flight_capacity : int;
       (** per-loop flight-recorder ring capacity in events
           ([--flight-capacity], rounded up to a power of two; default
           4096 ≈ 192 KiB per loop; [0] disables the ring). Always-on
           and lock-free: the owning loop writes, anyone snapshots. *)
-  retain : int;
-      (** tail-retained trace buffer size per loop ([--retain]; default
-          64; [0] disables retention). *)
 }
 
 (** 127.0.0.1:4280, one loop per core, max 10_000 connections, no per-IP cap, 64 MiB per-conn
     write cap (global cap and idle timeout off), no state dir, periodic
-    snapshots off, PIB with {!Core.Learner.default_config}, trace
-    sampling off, 64 MiB answer cache, no metrics responder, structured
-    logging and the slow-query log off. Lifecycle tracking on, a
-    4096-event flight ring and a 64-trace retention buffer per loop. *)
+    snapshots off, PIB with {!Core.Learner.default_config}, 64 MiB
+    answer cache, no metrics responder, structured logging and slow
+    retention off. Lifecycle tracking on, a 4096-event flight ring per
+    loop. *)
 val default_config : config
 
 (** The loop count [loops = 0] resolves to: one per core
