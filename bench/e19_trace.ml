@@ -70,11 +70,6 @@ let run_rep mode =
   done;
   float_of_int n /. (Unix.gettimeofday () -. t0)
 
-let median xs =
-  let a = Array.of_list xs in
-  Array.sort Float.compare a;
-  a.(Array.length a / 2)
-
 let run () =
   let modes = [ Off; Off2; On; On_json ] in
   (* Warm-up: touch every mode once so allocator/caches settle. *)
@@ -85,7 +80,7 @@ let run () =
         (m, List.init reps (fun _ -> run_rep m)))
       modes
   in
-  let qps m = median (List.assoc m samples) in
+  let qps m = Servekit.median (List.assoc m samples) in
   let base = qps Off in
   let rows =
     List.map

@@ -23,15 +23,9 @@
 
 module D = Datalog
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some v -> ( try int_of_string v with _ -> default)
-  | None -> default
-
-let total_queries () = env_int "E23_QUERIES" 20_000
-let n_patterns () = env_int "E23_PATTERNS" 512
+let total_queries () = Servekit.env_int "E23_QUERIES" 20_000
+let n_patterns () = Servekit.env_int "E23_PATTERNS" 512
 let bucket = 10
-let zipf_s = 1.1
 
 let sizes () =
   let spec =
@@ -60,10 +54,7 @@ let patterns n =
    generated outside the timed loop and replayed identically against
    both backends. *)
 let schedule q =
-  let weights =
-    Array.init (n_patterns ()) (fun i ->
-        1.0 /. Float.pow (float_of_int (i + 1)) zipf_s)
-  in
+  let weights = Servekit.zipf_weights (n_patterns ()) in
   let rng = Stats.Rng.create 42L in
   Array.init q (fun _ -> Stats.Rng.categorical rng weights)
 
@@ -165,7 +156,7 @@ let run () =
       (Printf.sprintf
          "E23: paged store (pool = 25%% of pages) vs in-memory retrieval \
           (%d Zipf-%g bound-first queries/row, %d-fact buckets)"
-         (total_queries ()) zipf_s bucket)
+         (total_queries ()) Servekit.zipf_s bucket)
     ~header:
       [ "facts"; "pages"; "pool"; "mem q/s"; "paged q/s"; "mem/paged" ]
     (List.map

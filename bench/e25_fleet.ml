@@ -2,7 +2,7 @@
    concurrent connections as the event-loop count grows.
 
    E24 measures one pipelined connection; here the bottleneck under test
-   is the reactor itself: E25_CONNS v4 connections drive the server at
+   is the reactor itself: 8 v4 connections drive the server at
    once, and each loop runs its connections' requests to completion, so
    with a single event loop every read/parse/execute/flush serializes on
    one domain. Sharding the reactor (--loops N, one loop per domain)
@@ -12,8 +12,8 @@
    For each fleet size in E25_LOOPS_LIST (default "1,2,4"), against a
    fresh in-process server (same seeds, comparable trajectories):
 
-   S. single-form closed loop — E25_CONNS connections, each pipelining
-      E25_WINDOW requests over the E24-style Zipf pool of
+   S. single-form closed loop — 8 connections, each pipelining 16
+      requests over the E24-style Zipf pool of
       relative(person) queries. Aggregate q/s is the fan-in throughput.
 
    M. mixed-form closed loop — the same fan-in, but the pool is Zipf
@@ -30,33 +30,19 @@
       omission), so the p99 column shows queueing delay the fleet does
       or does not absorb.
 
-   Knobs (environment): E25_QUERIES (default 2000 per phase),
-   E25_CONNS (default 8), E25_WINDOW (default 16), E25_PEOPLE (default
-   5000), E25_LOOPS_LIST (default "1,2,4"),
-   E25_JSON (machine-readable results path), E25_REQUIRE_GATE
-   (non-empty: exit 1 when the gate fails — the CI smoke gate),
-   E25_SPEEDUP_MIN (default 0.9: mixed-form closed q/s at 2 loops must
-   be >= this factor of the 1-loop rate; the gate is a no-regression
-   bar, not a scaling claim — closed phases are best-of-2 to shrug off
-   scheduler preemption, and on a single-core host the gate is
-   advisory, since a second loop domain can only timeshare there). *)
+   Knobs: the table in EXPERIMENTS.md. E25_REQUIRE_GATE (non-empty)
+   exits 1 when the gate fails — the CI smoke gate: mixed-form closed
+   q/s at 2 loops must be >= 0.9x the 1-loop rate. The gate is a
+   no-regression bar, not a scaling claim — closed phases are best-of-2
+   to shrug off scheduler preemption, and on a single-core host the
+   gate is advisory, since a second loop domain can only timeshare
+   there. *)
 
-module D = Datalog
-
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some v -> ( try int_of_string v with _ -> default)
-  | None -> default
-
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some v -> ( try float_of_string v with _ -> default)
-  | None -> default
-
-let total_queries () = env_int "E25_QUERIES" 2_000
-let n_conns () = Int.max 1 (env_int "E25_CONNS" 8)
-let window () = Int.max 1 (env_int "E25_WINDOW" 16)
-let n_people () = env_int "E25_PEOPLE" 5_000
+let total_queries () = Servekit.env_int "E25_QUERIES" 2_000
+let n_people () = Servekit.env_int "E25_PEOPLE" 5_000
+let conns = 8
+let window = 16
+let speedup_min = 0.9
 
 let loops_list () =
   match Sys.getenv_opt "E25_LOOPS_LIST" with
@@ -66,204 +52,55 @@ let loops_list () =
     |> List.filter_map (fun x -> int_of_string_opt (String.trim x))
     |> List.filter (fun l -> l >= 1)
 
-let pool_size = 32
-let zipf_s = 1.1
-
-let zipf_weights n =
-  Array.init n (fun i -> 1.0 /. Float.pow (float_of_int (i + 1)) zipf_s)
-
-(* Single-form pool: the E24 workload — one form, Zipf over constants. *)
-let single_form_pool people =
-  let n = Array.length people in
-  Array.init pool_size (fun i ->
-      Printf.sprintf "QUERY relative(%s)" people.(i * n / pool_size mod n))
-
-(* Mixed-form pool: Zipf over forms x a few constants per form. The
-   Zipf walks the forms first, so the head of the distribution is the
-   hot form and the tail keeps touching every learner. *)
-let mixed_forms =
-  [|
-    "relative"; "sibling"; "ancestor_of_probe"; "inlaw"; "parent_of_probe";
-    "grandparent_of_probe";
-  |]
-
-let mixed_form_pool people =
-  let n = Array.length people in
-  let per_form = pool_size / Array.length mixed_forms in
-  Array.init (Array.length mixed_forms * per_form) (fun i ->
-      let form = mixed_forms.(i / per_form) in
-      let person = people.(i * n / pool_size mod n) in
-      Printf.sprintf "QUERY %s(%s)" form person)
-
-let start_server ~db ~rulebase ~loops =
-  let port = Atomic.make 0 in
-  let thread =
-    Thread.create
-      (fun () ->
-        Serve.Server.run
-          ~on_listen:(fun p -> Atomic.set port p)
-          {
-            Serve.Server.default_config with
-            port = 0;
-            loops;
-          }
-          ~rulebase ~db)
-      ()
-  in
-  while Atomic.get port = 0 do
-    Thread.delay 0.01
-  done;
-  (thread, Atomic.get port)
-
-let stop_server thread port =
-  let c = Serve.Client.connect ~proto:`Lines ~port () in
-  ignore (Serve.Client.command c "SHUTDOWN");
-  Serve.Client.close c;
-  Thread.join thread
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  sorted.(Int.min (n - 1) (int_of_float (float_of_int n *. p)))
-
-type phase = {
-  name : string;
-  loops : int;
-  queries : int;
-  wall_s : float;
-  qps : float;
-  p50_ms : float;
-  p99_ms : float;
-}
-
-let summarize name ~loops ~wall lats =
-  let sorted = Array.copy lats in
-  Array.sort Float.compare sorted;
-  {
-    name;
-    loops;
-    queries = Array.length lats;
-    wall_s = wall;
-    qps = float_of_int (Array.length lats) /. wall;
-    p50_ms = percentile sorted 0.50;
-    p99_ms = percentile sorted 0.99;
-  }
-
-(* One pipelined v4 connection: [n] queries, [window] in flight.
-   Returns per-request latencies. *)
-let pipelined_conn port pool ~n ~window ~seed =
-  let rng = Stats.Rng.create (Int64.of_int seed) in
-  let weights = zipf_weights (Array.length pool) in
-  let c = Serve.Client.connect ~proto:`V4 ~port () in
-  let start = Hashtbl.create window in
-  let lat = Array.make n 0.0 in
-  let issued = ref 0 in
-  let post_one () =
-    let q = pool.(Stats.Rng.categorical rng weights) in
-    let id = Serve.Client.post c q in
-    Hashtbl.replace start id (Unix.gettimeofday ());
-    incr issued
-  in
-  while !issued < Int.min window n do
-    post_one ()
-  done;
-  for k = 0 to n - 1 do
-    let id, _ = Serve.Client.recv c in
-    lat.(k) <- (Unix.gettimeofday () -. Hashtbl.find start id) *. 1e3;
-    Hashtbl.remove start id;
-    if !issued < n then post_one ()
-  done;
-  Serve.Client.close c;
-  lat
-
-(* One open-loop v4 connection at [rate] req/s: request k (ids are
-   sequential from 1) is due at t0 + k/rate; latency is measured from
-   that due time whether or not the sender kept schedule. *)
-let open_loop_conn port pool ~n ~rate ~seed =
-  let rng = Stats.Rng.create (Int64.of_int seed) in
-  let weights = zipf_weights (Array.length pool) in
-  let c = Serve.Client.connect ~proto:`V4 ~port () in
-  let lat = Array.make n 0.0 in
-  let t0 = Unix.gettimeofday () +. 0.01 in
-  let receiver =
-    Thread.create
-      (fun () ->
-        for _ = 1 to n do
-          let id, _ = Serve.Client.recv c in
-          let due = t0 +. (float_of_int (id - 1) /. rate) in
-          lat.(id - 1) <- (Unix.gettimeofday () -. due) *. 1e3
-        done)
-      ()
-  in
-  for k = 0 to n - 1 do
-    let due = t0 +. (float_of_int k /. rate) in
-    let slack = due -. Unix.gettimeofday () in
-    if slack > 0.0 then Thread.delay slack;
-    ignore (Serve.Client.post c pool.(Stats.Rng.categorical rng weights))
-  done;
-  Thread.join receiver;
-  Serve.Client.close c;
-  lat
-
-(* Fan-in: [conns] concurrent client threads sharing the load. *)
-let fan_in name ~loops ~conns per_conn =
-  let lats = Array.make conns [||] in
-  let t0 = Unix.gettimeofday () in
-  let threads =
-    List.init conns (fun k ->
-        Thread.create (fun () -> lats.(k) <- per_conn ~k) ())
-  in
-  List.iter Thread.join threads;
-  let wall = Unix.gettimeofday () -. t0 in
-  summarize name ~loops ~wall (Array.concat (Array.to_list lats))
-
-let json_of_phase p =
-  Printf.sprintf
-    "{\"phase\":\"%s\",\"loops\":%d,\"queries\":%d,\"wall_s\":%.3f,\
-     \"qps\":%.1f,\"p50_ms\":%.3f,\"p99_ms\":%.3f}"
-    p.name p.loops p.queries p.wall_s p.qps p.p50_ms p.p99_ms
+let json_of_phase (name, loops, s) =
+  Printf.sprintf "{\"phase\":\"%s\",\"loops\":%d,%s}" name loops
+    (Servekit.summary_json s)
 
 let run () =
-  let rulebase = Workload.Genealogy.rulebase () in
-  let pop =
-    Workload.Genealogy.populate (Stats.Rng.create 23L) ~n_people:(n_people ())
+  let rulebase, db, people =
+    Servekit.genealogy ~seed:23L ~n_people:(n_people ())
   in
-  let db = Workload.Genealogy.db pop in
-  let people = Array.of_list (Workload.Genealogy.people pop) in
-  let single = single_form_pool people in
-  let mixed = mixed_form_pool people in
+  let single = Servekit.bound_pool people in
+  let mixed = Servekit.mixed_form_pool people in
   let n = total_queries () in
-  let conns = n_conns () in
-  let w = window () in
   let per = Int.max 1 (n / conns) in
-  (* closed phases are best-of-2: throughput on a timeshared host is
-     noisy downward only (scheduler preemption), so the better rep is
-     the truer reading and the CI gate doesn't flake on jitter *)
-  let closed pool name loops port =
+  let fan_in client =
+    Servekit.summary (Servekit.fan_in ~clients:conns client)
+  in
+  let closed pool port =
     let one seed0 =
-      fan_in name ~loops ~conns (fun ~k ->
-          pipelined_conn port pool ~n:per ~window:w ~seed:(seed0 + k))
+      fan_in (fun k ->
+          Servekit.pipelined_client port ~n:per ~window
+            (Servekit.zipf_draw pool ~seed:(seed0 + k)))
     in
     let a = one 7 in
     let b = one 107 in
-    if a.qps >= b.qps then a else b
+    Servekit.best (fun (s : Servekit.summary) -> s.qps) [ a; b ]
   in
   let anchor_rate = ref 0.0 in
   let rows =
     List.concat_map
       (fun loops ->
-        let thread, port = start_server ~db ~rulebase ~loops in
-        let s = closed single "single closed" loops port in
+        let server =
+          Servekit.start
+            { Serve.Server.default_config with loops }
+            ~rulebase ~db
+        in
+        let s = closed single server.port in
         if !anchor_rate = 0.0 then anchor_rate := s.qps;
-        let m = closed mixed "mixed closed" loops port in
+        let m = closed mixed server.port in
         let rate = !anchor_rate /. float_of_int conns in
         let o =
-          fan_in
-            (Printf.sprintf "mixed open @ %.0f/s" !anchor_rate)
-            ~loops ~conns
-            (fun ~k -> open_loop_conn port mixed ~n:per ~rate ~seed:(7 + k))
+          fan_in (fun k ->
+              Servekit.open_loop_client server.port ~n:per ~rate
+                (Servekit.zipf_draw mixed ~seed:(7 + k)))
         in
-        stop_server thread port;
-        [ s; m; o ])
+        Servekit.stop server;
+        [
+          ("single closed", loops, s);
+          ("mixed closed", loops, m);
+          (Printf.sprintf "mixed open @ %.0f/s" !anchor_rate, loops, o);
+        ])
       (loops_list ())
   in
   Table.print
@@ -272,66 +109,47 @@ let run () =
          "E25: reactor-fleet fan-in, %d conns x window %d (%d queries per \
           phase, %d people; open-loop latency measured from the \
           scheduled send time)"
-         conns w n (n_people ()))
-    ~header:[ "phase"; "loops"; "queries"; "wall s"; "q/s"; "p50 ms"; "p99 ms" ]
+         conns window n (n_people ()))
+    ~header:("phase" :: "loops" :: Servekit.summary_header)
     (List.map
-       (fun r ->
-         [
-           r.name;
-           Table.i r.loops;
-           Table.i r.queries;
-           Table.f2 r.wall_s;
-           Table.f1 r.qps;
-           Table.f3 r.p50_ms;
-           Table.f3 r.p99_ms;
-         ])
+       (fun (name, loops, s) ->
+         name :: Table.i loops :: Servekit.summary_cells s)
        rows);
   let mixed_at l =
-    List.find_opt (fun r -> r.loops = l && r.name = "mixed closed") rows
+    List.find_map
+      (fun (name, loops, s) ->
+        if loops = l && name = "mixed closed" then Some s.Servekit.qps
+        else None)
+      rows
   in
   let ratio =
     match (mixed_at 1, mixed_at 2) with
-    | Some one, Some two -> Some (two.qps /. one.qps)
+    | Some one, Some two -> Some (two /. one)
     | _ -> None
   in
-  (match ratio with
-  | Some x ->
-    Table.note "fleet fan-in (mixed-form closed, 2 loops / 1 loop): %.2fx\n" x
-  | None -> ());
-  (match Sys.getenv_opt "E25_JSON" with
-  | None | Some "" -> ()
-  | Some path ->
-    let oc = open_out path in
-    Printf.fprintf oc
-      "{\"experiment\":\"e25\",\"queries\":%d,\"conns\":%d,\"window\":%d,\
-       \"people\":%d,\"zipf_s\":%g,\"rows\":[%s]%s}\n"
-      n conns w (n_people ()) zipf_s
-      (String.concat "," (List.map json_of_phase rows))
-      (match ratio with
-      | Some x -> Printf.sprintf ",\"mixed_2loop_over_1loop\":%.3f" x
-      | None -> "");
-    close_out oc;
-    Table.note "wrote %s\n" path);
-  match Sys.getenv_opt "E25_REQUIRE_GATE" with
-  | None | Some "" -> ()
-  | Some _ -> (
-    let min_ratio = env_float "E25_SPEEDUP_MIN" 0.9 in
-    match ratio with
+  Option.iter
+    (Table.note "fleet fan-in (mixed-form closed, 2 loops / 1 loop): %.2fx\n")
+    ratio;
+  Servekit.write_output "E25_JSON"
+    (Printf.sprintf
+       "{\"experiment\":\"e25\",\"queries\":%d,\"conns\":%d,\"window\":%d,\
+        \"people\":%d,\"zipf_s\":%g,\"rows\":[%s]%s}"
+       n conns window (n_people ()) Servekit.zipf_s
+       (String.concat "," (List.map json_of_phase rows))
+       (match ratio with
+       | Some x -> Printf.sprintf ",\"mixed_2loop_over_1loop\":%.3f" x
+       | None -> ""));
+  Servekit.gate "E25_REQUIRE_GATE"
+    ~advisory:(ratio <> None && Servekit.single_core ())
+    ~passed:"fleet fan-in gate passed"
+    (match ratio with
     | None ->
-      prerr_endline "E25: gate needs loop counts 1 and 2 in E25_LOOPS_LIST";
-      exit 1
-    | Some x when x < min_ratio ->
-      if Domain.recommended_domain_count () < 2 then
-        (* a second loop domain can only timeshare here; the ratio is
-           scheduler noise, not a sharding regression *)
-        Table.note
-          "fleet fan-in gate advisory on a single-core host: %.2fx < %.2fx\n"
-          x min_ratio
-      else begin
-        Printf.eprintf
-          "E25: mixed-form fan-in at 2 loops is %.2fx the 1-loop rate \
-           (< %.2fx)\n"
-          x min_ratio;
-        exit 1
-      end
-    | Some _ -> Table.note "fleet fan-in gate passed\n")
+      [ (true, "E25: gate needs loop counts 1 and 2 in E25_LOOPS_LIST") ]
+    | Some x ->
+      [
+        ( x < speedup_min,
+          Printf.sprintf
+            "E25: mixed-form fan-in at 2 loops is %.2fx the 1-loop rate \
+             (< %.2fx)"
+            x speedup_min );
+      ])

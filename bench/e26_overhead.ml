@@ -17,186 +17,65 @@
    on.  the default config — lifecycle on, a 4096-event ring per
         loop, 64 retained traces per loop.
 
-   Each arm is the E25 mixed-form closed loop (E26_CONNS pipelined v4
-   connections, window E26_WINDOW, Zipf over query forms) on an
-   E26_LOOPS-loop fleet, best-of-E26_REPS (throughput noise on a
-   timeshared host is downward-only, so the best rep is the truest
-   reading). Arms alternate off/on per rep so slow drift (page cache,
-   JIT'd nothing here, but CPU frequency) hits both equally.
+   Each arm is the E25 mixed-form closed loop (8 pipelined v4
+   connections, window 16, Zipf over query forms) on a 2-loop fleet,
+   best-of-3 (throughput noise on a timeshared host is downward-only,
+   so the best rep is the truest reading). Arms alternate off/on per
+   rep so slow drift (page cache, CPU frequency) hits both equally.
 
    overhead% = (off q/s / on q/s - 1) x 100.
 
-   Knobs (environment): E26_QUERIES (default 2000 per rep), E26_CONNS
-   (default 8), E26_WINDOW (default 16), E26_PEOPLE (default 5000),
-   E26_LOOPS (default 2), E26_REPS (default 3), E26_JSON (machine-readable results path), E26_FLIGHT_DUMP
-   (path: write the on-arm's FLIGHT envelope there before shutdown —
-   the CI failure artifact), E26_REQUIRE_GATE (non-empty: exit 1 when
-   overhead% > E26_MAX_OVERHEAD_PCT, default 3.0; advisory on a
-   single-core host where the arms can only timeshare). *)
+   Knobs: the table in EXPERIMENTS.md. E26_FLIGHT_DUMP (path) gets the
+   last on-arm server's FLIGHT envelope before shutdown — the CI
+   failure artifact. E26_REQUIRE_GATE (non-empty) exits 1 when
+   overhead% > 3; advisory on a single-core host where the arms can
+   only timeshare. *)
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some v -> ( try int_of_string v with _ -> default)
-  | None -> default
-
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some v -> ( try float_of_string v with _ -> default)
-  | None -> default
-
-let total_queries () = env_int "E26_QUERIES" 2_000
-let n_conns () = Int.max 1 (env_int "E26_CONNS" 8)
-let window () = Int.max 1 (env_int "E26_WINDOW" 16)
-let n_people () = env_int "E26_PEOPLE" 5_000
-let n_loops () = Int.max 1 (env_int "E26_LOOPS" 2)
-let n_reps () = Int.max 1 (env_int "E26_REPS" 3)
-let pool_size = 32
-let zipf_s = 1.1
-
-let zipf_weights n =
-  Array.init n (fun i -> 1.0 /. Float.pow (float_of_int (i + 1)) zipf_s)
-
-let mixed_forms =
-  [|
-    "relative"; "sibling"; "ancestor_of_probe"; "inlaw"; "parent_of_probe";
-    "grandparent_of_probe";
-  |]
-
-let mixed_form_pool people =
-  let n = Array.length people in
-  let per_form = pool_size / Array.length mixed_forms in
-  Array.init (Array.length mixed_forms * per_form) (fun i ->
-      let form = mixed_forms.(i / per_form) in
-      let person = people.(i * n / pool_size mod n) in
-      Printf.sprintf "QUERY %s(%s)" form person)
+let total_queries = 2_000
+let n_people () = Servekit.env_int "E26_PEOPLE" 5_000
+let conns = 8
+let window = 16
+let loops = 2
+let reps = 3
+let max_overhead_pct = 3.0
 
 let config ~lifecycle =
-  let base =
-    {
-      Serve.Server.default_config with
-      port = 0;
-      loops = n_loops ();
-    }
-  in
+  let base = { Serve.Server.default_config with loops } in
   if lifecycle then base
   else { base with lifecycle = false; flight_capacity = 0 }
 
-let start_server ~db ~rulebase ~lifecycle =
-  let port = Atomic.make 0 in
-  let thread =
-    Thread.create
-      (fun () ->
-        Serve.Server.run
-          ~on_listen:(fun p -> Atomic.set port p)
-          (config ~lifecycle) ~rulebase ~db)
-      ()
-  in
-  while Atomic.get port = 0 do
-    Thread.delay 0.01
-  done;
-  (thread, Atomic.get port)
-
-let stop_server thread port =
-  let c = Serve.Client.connect ~proto:`Lines ~port () in
-  ignore (Serve.Client.command c "SHUTDOWN");
-  Serve.Client.close c;
-  Thread.join thread
-
-let percentile sorted p =
-  let n = Array.length sorted in
-  sorted.(Int.min (n - 1) (int_of_float (float_of_int n *. p)))
-
-type rep = { queries : int; wall_s : float; qps : float; p99_ms : float }
-
-let pipelined_conn port pool ~n ~window ~seed =
-  let rng = Stats.Rng.create (Int64.of_int seed) in
-  let weights = zipf_weights (Array.length pool) in
-  let c = Serve.Client.connect ~proto:`V4 ~port () in
-  let start = Hashtbl.create window in
-  let lat = Array.make n 0.0 in
-  let issued = ref 0 in
-  let post_one () =
-    let q = pool.(Stats.Rng.categorical rng weights) in
-    let id = Serve.Client.post c q in
-    Hashtbl.replace start id (Unix.gettimeofday ());
-    incr issued
-  in
-  while !issued < Int.min window n do
-    post_one ()
-  done;
-  for k = 0 to n - 1 do
-    let id, _ = Serve.Client.recv c in
-    lat.(k) <- (Unix.gettimeofday () -. Hashtbl.find start id) *. 1e3;
-    Hashtbl.remove start id;
-    if !issued < n then post_one ()
-  done;
-  Serve.Client.close c;
-  lat
-
-let one_rep port pool ~seed0 =
-  let conns = n_conns () in
-  let per = Int.max 1 (total_queries () / conns) in
-  let w = window () in
-  let lats = Array.make conns [||] in
-  let t0 = Unix.gettimeofday () in
-  let threads =
-    List.init conns (fun k ->
-        Thread.create
-          (fun () ->
-            lats.(k) <- pipelined_conn port pool ~n:per ~window:w
-                ~seed:(seed0 + k))
-          ())
-  in
-  List.iter Thread.join threads;
-  let wall = Unix.gettimeofday () -. t0 in
-  let all = Array.concat (Array.to_list lats) in
-  let sorted = Array.copy all in
-  Array.sort Float.compare sorted;
-  {
-    queries = Array.length all;
-    wall_s = wall;
-    qps = float_of_int (Array.length all) /. wall;
-    p99_ms = percentile sorted 0.99;
-  }
-
-let dump_flight port =
-  match Sys.getenv_opt "E26_FLIGHT_DUMP" with
-  | None | Some "" -> ()
-  | Some path ->
-    let c = Serve.Client.connect ~proto:`Lines ~port () in
-    let body = Serve.Client.command c "FLIGHT" in
-    Serve.Client.close c;
-    let oc = open_out path in
-    output_string oc (String.concat "\n" body);
-    output_char oc '\n';
-    close_out oc;
-    Table.note "wrote flight dump %s\n" path
-
 let run () =
-  let rulebase = Workload.Genealogy.rulebase () in
-  let pop =
-    Workload.Genealogy.populate (Stats.Rng.create 23L) ~n_people:(n_people ())
+  let rulebase, db, people =
+    Servekit.genealogy ~seed:23L ~n_people:(n_people ())
   in
-  let db = Workload.Genealogy.db pop in
-  let people = Array.of_list (Workload.Genealogy.people pop) in
-  let pool = mixed_form_pool people in
-  let reps = n_reps () in
+  let pool = Servekit.mixed_form_pool people in
+  let per = Int.max 1 (total_queries / conns) in
   (* alternate arms per rep so slow host drift taxes both equally;
      best-of across reps per arm *)
-  let best = Hashtbl.create 2 in
-  for r = 0 to (2 * reps) - 1 do
-    let lifecycle = r mod 2 = 1 in
-    let thread, port = start_server ~db ~rulebase ~lifecycle in
-    let rep = one_rep port pool ~seed0:(7 + (100 * r)) in
-    if lifecycle && r = (2 * reps) - 1 then dump_flight port;
-    stop_server thread port;
-    let key = if lifecycle then "on" else "off" in
-    (match Hashtbl.find_opt best key with
-    | Some prev when prev.qps >= rep.qps -> ()
-    | _ -> Hashtbl.replace best key rep)
-  done;
-  let off = Hashtbl.find best "off" in
-  let on = Hashtbl.find best "on" in
+  let runs =
+    List.init (2 * reps) (fun r ->
+        let lifecycle = r mod 2 = 1 in
+        let server = Servekit.start (config ~lifecycle) ~rulebase ~db in
+        let s =
+          Servekit.summary
+            (Servekit.fan_in ~clients:conns (fun k ->
+                 Servekit.pipelined_client server.port ~n:per ~window
+                   (Servekit.zipf_draw pool ~seed:(7 + (100 * r) + k))))
+        in
+        if r = (2 * reps) - 1 && Servekit.env_set "E26_FLIGHT_DUMP" then
+          Servekit.write_output "E26_FLIGHT_DUMP"
+            (String.concat "\n" (Servekit.command server "FLIGHT"));
+        Servekit.stop server;
+        (lifecycle, s))
+  in
+  let arm lifecycle =
+    Servekit.best
+      (fun (s : Servekit.summary) -> s.qps)
+      (List.filter_map
+         (fun (l, s) -> if l = lifecycle then Some s else None)
+         runs)
+  in
+  let off = arm false and on = arm true in
   let overhead_pct = ((off.qps /. on.qps) -. 1.0) *. 100.0 in
   Table.print
     ~title:
@@ -204,49 +83,32 @@ let run () =
          "E26: lifecycle + flight-recorder overhead, mixed-form closed loop \
           (%d conns x window %d, %d queries per rep, best of %d reps, %d \
           loops)"
-         (n_conns ()) (window ()) (total_queries ()) reps (n_loops ()))
+         conns window total_queries reps loops)
     ~header:[ "arm"; "queries"; "wall s"; "q/s"; "p99 ms" ]
-    [
-      [
-        "lifecycle off"; Table.i off.queries; Table.f2 off.wall_s;
-        Table.f1 off.qps; Table.f3 off.p99_ms;
-      ];
-      [
-        "lifecycle on"; Table.i on.queries; Table.f2 on.wall_s;
-        Table.f1 on.qps; Table.f3 on.p99_ms;
-      ];
-    ];
-  Table.note "always-on lifecycle overhead: %.2f%% (off %.1f q/s, on %.1f q/s)\n"
+    (List.map
+       (fun (arm, (s : Servekit.summary)) ->
+         [
+           arm; Table.i s.queries; Table.f2 s.wall_s; Table.f1 s.qps;
+           Table.f3 s.p99_ms;
+         ])
+       [ ("lifecycle off", off); ("lifecycle on", on) ]);
+  Table.note
+    "always-on lifecycle overhead: %.2f%% (off %.1f q/s, on %.1f q/s)\n"
     overhead_pct off.qps on.qps;
-  (match Sys.getenv_opt "E26_JSON" with
-  | None | Some "" -> ()
-  | Some path ->
-    let oc = open_out path in
-    Printf.fprintf oc
-      "{\"experiment\":\"e26\",\"queries\":%d,\"conns\":%d,\"window\":%d,\
-       \"people\":%d,\"loops\":%d,\"reps\":%d,\
-       \"off_qps\":%.1f,\"on_qps\":%.1f,\"off_p99_ms\":%.3f,\
-       \"on_p99_ms\":%.3f,\"overhead_pct\":%.2f}\n"
-      (total_queries ()) (n_conns ()) (window ()) (n_people ())
-      (n_loops ()) reps off.qps on.qps off.p99_ms on.p99_ms overhead_pct;
-    close_out oc;
-    Table.note "wrote %s\n" path);
-  match Sys.getenv_opt "E26_REQUIRE_GATE" with
-  | None | Some "" -> ()
-  | Some _ ->
-    let max_pct = env_float "E26_MAX_OVERHEAD_PCT" 3.0 in
-    if overhead_pct > max_pct then
-      if Domain.recommended_domain_count () < 2 then
-        (* loops and clients all timeshare one core here;
-           the delta is scheduler noise, not lifecycle cost *)
-        Table.note
-          "overhead gate advisory on a single-core host: %.2f%% > %.2f%%\n"
-          overhead_pct max_pct
-      else begin
-        Printf.eprintf
-          "E26: always-on lifecycle overhead %.2f%% exceeds %.2f%%\n"
-          overhead_pct max_pct;
-        exit 1
-      end
-    else Table.note "overhead gate passed (%.2f%% <= %.2f%%)\n" overhead_pct
-        max_pct
+  Servekit.write_output "E26_JSON"
+    (Printf.sprintf
+       "{\"experiment\":\"e26\",\"queries\":%d,\"conns\":%d,\"window\":%d,\
+        \"people\":%d,\"loops\":%d,\"reps\":%d,\
+        \"off_qps\":%.1f,\"on_qps\":%.1f,\"off_p99_ms\":%.3f,\
+        \"on_p99_ms\":%.3f,\"overhead_pct\":%.2f}"
+       total_queries conns window (n_people ()) loops reps off.qps on.qps
+       off.p99_ms on.p99_ms overhead_pct);
+  Servekit.gate "E26_REQUIRE_GATE" ~advisory:(Servekit.single_core ())
+    ~passed:
+      (Printf.sprintf "overhead gate passed (%.2f%% <= %.2f%%)" overhead_pct
+         max_overhead_pct)
+    [
+      ( overhead_pct > max_overhead_pct,
+        Printf.sprintf "E26: always-on lifecycle overhead %.2f%% exceeds %.2f%%"
+          overhead_pct max_overhead_pct );
+    ]

@@ -16,49 +16,36 @@
    With subsumption off every probe is an exact-key miss and pays the
    full SLD refutation; with it on every probe is answered by filtering
    the warm entry. The gate: subsume-on throughput >=
-   E27_SPEEDUP_MIN (default 1.3) x subsume-off.
+   1.3 x subsume-off.
 
    Phase B (miss-path overhead): fresh servers, never warmed, and a
    shared stream of all-distinct ground probes — no subsumable
    generalization exists (ground fills are not indexed), so every query
    is a cold miss in both arms and the subsume arm additionally pays the
    index probe and the filter-latency clock on each one. The gate: that
-   always-failing probe costs <= E27_OVERHEAD_MAX (default 0.03) of
-   throughput. Each arm runs E27_REPEATS (default 3) times and keeps its
-   best rate, so the gates measure the probe, not scheduler jitter.
+   always-failing probe costs <= 3% of throughput. Each arm runs three
+   times and keeps its best rate, so the gates measure the probe, not
+   scheduler jitter.
 
-   Knobs (environment): E27_QUERIES (per phase per arm, default 3000),
-   E27_CLIENTS (default 2), E27_WINDOW (pipeline depth, default 32),
-   E27_DEPTH (D, default 4), E27_MEMBERS (M, default 64),
-   E27_REPEATS, E27_SPEEDUP_MIN, E27_OVERHEAD_MAX, E27_JSON (path —
-   when set, machine-readable results are written there),
-   E27_REQUIRE_GATE (non-empty: exit 1 when a gate fails — the CI
-   smoke gate). *)
+   Both phases run 3000 queries per arm over 2 clients, each a v4
+   connection with 32 requests in flight. Knobs: the table in
+   EXPERIMENTS.md. E27_REQUIRE_GATE (non-empty) exits 1 when a gate
+   fails — the CI smoke gate. *)
 
 module D = Datalog
 
-let env_int name default =
-  match Sys.getenv_opt name with
-  | Some v -> ( try int_of_string v with _ -> default)
-  | None -> default
-
-let env_float name default =
-  match Sys.getenv_opt name with
-  | Some v -> ( try float_of_string v with _ -> default)
-  | None -> default
-
-let total_queries () = env_int "E27_QUERIES" 3_000
-let n_clients () = env_int "E27_CLIENTS" 2
-let window () = Int.max 1 (env_int "E27_WINDOW" 32)
-let depth () = env_int "E27_DEPTH" 4
-let n_members () = env_int "E27_MEMBERS" 64
-let repeats () = env_int "E27_REPEATS" 3
-let speedup_min () = env_float "E27_SPEEDUP_MIN" 1.3
-let overhead_max () = env_float "E27_OVERHEAD_MAX" 0.03
+let total_queries = 3_000
+let n_clients = 2
+let window = 32
+let depth = 4
+let n_members = 64
+let repeats = 3
+let speedup_min = 1.3
+let overhead_max = 0.03
 
 (* Probes come from a name universe 256x the member count, so random
    draws are almost always non-members and almost always distinct. *)
-let universe () = 256 * n_members ()
+let universe = 256 * n_members
 
 (* A binary disjunction tree of depth [depth]: r = t1, each internal
    t<i> has rules t<i>(X) :- t<2i>(X) and t<i>(X) :- t<2i+1>(X), and
@@ -69,8 +56,7 @@ let universe () = 256 * n_members ()
    leaf — reduction arcs are not blockable, so the learner's context
    build skips them and only probes the leaves. *)
 let make_kb () =
-  let d = depth () and m = n_members () in
-  let leaves = 1 lsl d in
+  let leaves = 1 lsl depth in
   let buf = Buffer.create (leaves * 64) in
   Buffer.add_string buf "r(X) :- t1(X).\n";
   for i = 1 to leaves - 1 do
@@ -82,147 +68,79 @@ let make_kb () =
   done;
   let rules, _, _ = D.Parser.parse_kb (Buffer.contents buf) in
   let facts =
-    List.init m (fun j ->
+    List.init n_members (fun j ->
         D.Parser.parse_atom (Printf.sprintf "leaf%d(p%d)" (j mod leaves) j))
   in
   (D.Rulebase.of_list rules, D.Database.of_list facts)
 
-let start_server ~subsume ~db ~rulebase =
-  let port = Atomic.make 0 in
-  let thread =
-    Thread.create
-      (fun () ->
-        Serve.Server.run
-          ~on_listen:(fun p -> Atomic.set port p)
-          {
-            Serve.Server.default_config with
-            port = 0;
-            loops = 2;
-            cache_mb = 64;
-            subsume;
-          }
-          ~rulebase ~db)
-      ()
-  in
-  while Atomic.get port = 0 do
-    Thread.delay 0.01
-  done;
-  (thread, Atomic.get port)
-
-(* Pull the relevant STATS counters, then shut the server down. *)
-let stats_of_server port =
-  let c = Serve.Client.connect ~proto:`Lines ~port () in
-  let lines = Serve.Client.command c "STATS" in
-  ignore (Serve.Client.command c "SHUTDOWN");
-  Serve.Client.close c;
-  let get name =
-    List.fold_left
-      (fun acc l ->
-        match String.split_on_char ' ' l with
-        | [ k; v ] when k = name -> ( try int_of_string v with _ -> acc)
-        | _ -> acc)
-      0 lines
-  in
-  (get "cache_hits", get "cache_derived_hits", get "cache_misses")
-
 type row = {
   phase : string;
   subsume : bool;
-  queries : int;
-  wall_s : float;
-  qps : float;
+  s : Servekit.summary;
   hits : int;
   derived : int;
   misses : int;
 }
 
-(* One closed-loop pipelined client: [n] queries over a v4 connection
-   with [window] requests in flight. *)
-let client port ~query_of ~next ~n =
-  let c = Serve.Client.connect ~proto:`V4 ~port () in
-  let w = Int.min (window ()) n in
-  let issued = ref 0 and received = ref 0 in
-  let post_one () =
-    ignore (Serve.Client.post c (query_of (Atomic.fetch_and_add next 1)));
-    incr issued
-  in
-  while !issued < w do
-    post_one ()
-  done;
-  while !received < n do
-    ignore (Serve.Client.recv c);
-    incr received;
-    if !issued < n then post_one ()
-  done;
-  Serve.Client.close c
-
-(* One measured run: [clients] closed-loop threads over one server. *)
+(* One measured run: [n_clients] pipelined clients over one server,
+   drawing queries [query_of 0], [query_of 1], ... between them. *)
 let run_once ~phase ~subsume ~warm ~query_of ~db ~rulebase =
-  let clients = n_clients () in
-  let per_client = total_queries () / clients in
-  let thread, port = start_server ~subsume ~db ~rulebase in
-  if warm then begin
-    let c = Serve.Client.connect ~proto:`Lines ~port () in
-    ignore (Serve.Client.request c "QUERY r(X)");
-    Serve.Client.close c
-  end;
-  let next = Atomic.make 0 in
-  let t0 = Unix.gettimeofday () in
-  let threads =
-    List.init clients (fun _ ->
-        Thread.create (fun () -> client port ~query_of ~next ~n:per_client) ())
+  let server =
+    Servekit.start
+      { Serve.Server.default_config with loops = 2; cache_mb = 64; subsume }
+      ~rulebase ~db
   in
-  List.iter Thread.join threads;
-  let wall = Unix.gettimeofday () -. t0 in
-  let hits, derived, misses = stats_of_server port in
-  Thread.join thread;
-  let n = clients * per_client in
+  if warm then ignore (Servekit.command server "QUERY r(X)");
+  let next = Atomic.make 0 in
+  let s =
+    Servekit.summary
+      (Servekit.fan_in ~clients:n_clients (fun _ ->
+           Servekit.pipelined_client server.port
+             ~n:(total_queries / n_clients) ~window (fun () ->
+               query_of (Atomic.fetch_and_add next 1))))
+  in
+  let stat = Servekit.stats_then_stop server in
   {
     phase;
     subsume;
-    queries = n;
-    wall_s = wall;
-    qps = float_of_int n /. wall;
-    hits;
-    derived;
-    misses;
+    s;
+    hits = stat "cache_hits";
+    derived = stat "cache_derived_hits";
+    misses = stat "cache_misses";
   }
 
-(* Both arms of a phase, best-of-[repeats] by throughput: per-run
-   jitter only ever slows a run down, so the max is the truest reading
-   of each arm. The arm order alternates between repeats and the heap
-   is compacted before each run, so slow drift in the shared process
-   (GC pressure, allocator state) cannot systematically favor either
-   arm. *)
+(* Both arms of a phase, best-of-[repeats] by throughput. The arm order
+   alternates between repeats and the heap is compacted before each
+   run, so slow drift in the shared process (GC pressure, allocator
+   state) cannot systematically favor either arm. *)
 let run_pair ~phase ~warm ~query_of ~db ~rulebase =
-  let best = [| None; None |] in
-  let note i r =
-    match best.(i) with
-    | Some b when b.qps >= r.qps -> ()
-    | _ -> best.(i) <- Some r
-  in
   let one subsume =
     Gc.compact ();
-    let r = run_once ~phase ~subsume ~warm ~query_of ~db ~rulebase in
-    note (if subsume then 1 else 0) r
+    run_once ~phase ~subsume ~warm ~query_of ~db ~rulebase
   in
-  for rep = 1 to repeats () do
-    if rep mod 2 = 1 then begin
-      one false;
-      one true
-    end
-    else begin
-      one true;
-      one false
-    end
-  done;
-  (Option.get best.(0), Option.get best.(1))
+  let runs =
+    List.concat
+      (List.init repeats (fun rep ->
+           if rep mod 2 = 0 then
+             let off = one false in
+             [ off; one true ]
+           else
+             let on = one true in
+             [ on; one false ]))
+  in
+  let arm subsume =
+    Servekit.best
+      (fun r -> r.s.qps)
+      (List.filter (fun r -> r.subsume = subsume) runs)
+  in
+  (arm false, arm true)
 
 let json_of_row r =
   Printf.sprintf
     "{\"phase\":%S,\"subsume\":%b,\"queries\":%d,\"wall_s\":%.3f,\
      \"qps\":%.1f,\"hits\":%d,\"derived_hits\":%d,\"misses\":%d}"
-    r.phase r.subsume r.queries r.wall_s r.qps r.hits r.derived r.misses
+    r.phase r.subsume r.s.queries r.s.wall_s r.s.qps r.hits r.derived
+    r.misses
 
 let run () =
   let rulebase, db = make_kb () in
@@ -232,10 +150,10 @@ let run () =
      arm). *)
   let rng = Stats.Rng.create 27L in
   let probes =
-    Array.init (total_queries ()) (fun _ ->
+    Array.init total_queries (fun _ ->
         if Stats.Rng.int rng 20 = 0 then
-          Printf.sprintf "QUERY r(p%d)" (Stats.Rng.int rng (n_members ()))
-        else Printf.sprintf "QUERY r(p%d)" (Stats.Rng.int rng (universe ())))
+          Printf.sprintf "QUERY r(p%d)" (Stats.Rng.int rng n_members)
+        else Printf.sprintf "QUERY r(p%d)" (Stats.Rng.int rng universe))
   in
   let random_probe k = probes.(k mod Array.length probes) in
   let a_off, a_on =
@@ -252,62 +170,47 @@ let run () =
       (Printf.sprintf
          "E27: subsumption-derived hits (depth-%d tree, %d members, %d \
           queries/arm, %d clients x window %d, best of %d)"
-         (depth ()) (n_members ()) (total_queries ()) (n_clients ())
-         (window ()) (repeats ()))
+         depth n_members total_queries n_clients window repeats)
     ~header:
-      [ "phase"; "subsume"; "queries"; "wall s"; "q/s"; "hits"; "derived"; "misses" ]
+      [
+        "phase"; "subsume"; "queries"; "wall s"; "q/s"; "hits"; "derived";
+        "misses";
+      ]
     (List.map
        (fun r ->
          [
            r.phase;
            Table.yesno r.subsume;
-           Table.i r.queries;
-           Table.f2 r.wall_s;
-           Table.f1 r.qps;
+           Table.i r.s.queries;
+           Table.f2 r.s.wall_s;
+           Table.f1 r.s.qps;
            Table.i r.hits;
            Table.i r.derived;
            Table.i r.misses;
          ])
        rows);
-  let speedup = a_on.qps /. a_off.qps in
-  let overhead = 1.0 -. (b_on.qps /. b_off.qps) in
+  let speedup = a_on.s.qps /. a_off.s.qps in
+  let overhead = 1.0 -. (b_on.s.qps /. b_off.s.qps) in
   Table.note
     "derived-hit speedup (subsume on / off): %.2fx (gate >= %.2fx)\n\
      miss-path overhead: %.1f%% (gate <= %.1f%%)\n"
-    speedup (speedup_min ()) (100.0 *. overhead)
-    (100.0 *. overhead_max ());
-  (match Sys.getenv_opt "E27_JSON" with
-  | None | Some "" -> ()
-  | Some path ->
-    let oc = open_out path in
-    Printf.fprintf oc
-      "{\"experiment\":\"e27\",\"queries\":%d,\"clients\":%d,\"window\":%d,\
-       \"depth\":%d,\"members\":%d,\"repeats\":%d,\"rows\":[%s],\
-       \"derived_speedup\":%.2f,\"miss_overhead\":%.4f,\
-       \"speedup_min\":%.2f,\"overhead_max\":%.4f}\n"
-      (total_queries ()) (n_clients ()) (window ()) (depth ())
-      (n_members ()) (repeats ())
-      (String.concat "," (List.map json_of_row rows))
-      speedup overhead (speedup_min ()) (overhead_max ());
-    close_out oc;
-    Table.note "wrote %s\n" path);
-  match Sys.getenv_opt "E27_REQUIRE_GATE" with
-  | None | Some "" -> ()
-  | Some _ ->
-    let failed = ref false in
-    if a_on.derived = 0 then begin
-      prerr_endline "E27: derived phase served no derived hits";
-      failed := true
-    end;
-    if speedup < speedup_min () then begin
-      Printf.eprintf "E27: derived-hit speedup gate failed (%.2fx < %.2fx)\n"
-        speedup (speedup_min ());
-      failed := true
-    end;
-    if overhead > overhead_max () then begin
-      Printf.eprintf "E27: miss-path overhead gate failed (%.1f%% > %.1f%%)\n"
-        (100.0 *. overhead)
-        (100.0 *. overhead_max ());
-      failed := true
-    end;
-    if !failed then exit 1 else Table.note "subsumption gates passed\n"
+    speedup speedup_min (100.0 *. overhead) (100.0 *. overhead_max);
+  Servekit.write_output "E27_JSON"
+    (Printf.sprintf
+       "{\"experiment\":\"e27\",\"queries\":%d,\"clients\":%d,\"window\":%d,\
+        \"depth\":%d,\"members\":%d,\"repeats\":%d,\"rows\":[%s],\
+        \"derived_speedup\":%.2f,\"miss_overhead\":%.4f,\
+        \"speedup_min\":%.2f,\"overhead_max\":%.4f}"
+       total_queries n_clients window depth n_members repeats
+       (String.concat "," (List.map json_of_row rows))
+       speedup overhead speedup_min overhead_max);
+  Servekit.gate "E27_REQUIRE_GATE" ~passed:"subsumption gates passed"
+    [
+      (a_on.derived = 0, "E27: derived phase served no derived hits");
+      ( speedup < speedup_min,
+        Printf.sprintf "E27: derived-hit speedup gate failed (%.2fx < %.2fx)"
+          speedup speedup_min );
+      ( overhead > overhead_max,
+        Printf.sprintf "E27: miss-path overhead gate failed (%.1f%% > %.1f%%)"
+          (100.0 *. overhead) (100.0 *. overhead_max) );
+    ]

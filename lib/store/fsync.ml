@@ -1,12 +1,10 @@
 let fsync_fd fd = Unix.fsync fd
 
 let fsync_dir dir =
-  match Unix.openfile dir [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | dirfd ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close dirfd with Unix.Unix_error _ -> ())
-      (fun () -> try Unix.fsync dirfd with Unix.Unix_error _ -> ())
+  let dirfd = Unix.openfile dir [ Unix.O_RDONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close dirfd with Unix.Unix_error _ -> ())
+    (fun () -> Unix.fsync dirfd)
 
 let write_file path content =
   let tmp = path ^ ".tmp" in

@@ -13,8 +13,10 @@
     it). *)
 val fsync_fd : Unix.file_descr -> unit
 
-(** Best-effort fsync of a directory (some filesystems refuse directory
-    fsync; errors are ignored, as is an unopenable directory). *)
+(** [fsync_dir dir] — make the entries of [dir] (a rename, a new file)
+    durable. [Unix.Unix_error] from opening [dir] or from the fsync
+    escapes: a directory entry that may not be on disk is a durability
+    failure the caller must see. *)
 val fsync_dir : string -> unit
 
 (** [write_file path content] — atomic durable replacement of [path]:

@@ -160,6 +160,16 @@ let wal_roundtrip () =
       check_bool "surviving records are an exact prefix" true
         (List.rev !got2 = List.filteri (fun i _ -> i < n) wal_ops))
 
+(* ---------- Fsync ---------- *)
+
+(* A directory entry that cannot be made durable is an error the caller
+   must see, not a silent no-op. *)
+let fsync_dir_raises () =
+  with_dir (fun dir ->
+      match Store.Fsync.fsync_dir dir with
+      | () -> Alcotest.fail "fsync_dir on a missing directory returned ()"
+      | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ())
+
 (* ---------- Store engine ---------- *)
 
 (* Enumerate a store's facts by symbol names (collect sids under the
@@ -490,6 +500,7 @@ let suite =
         case "page: tombstones are skipped" page_tombstones;
         case "pool: spill and reload through 2 frames" pool_spill_and_reload;
         case "wal: roundtrip, torn tail, corrupt frame" wal_roundtrip;
+        case "fsync: fsync_dir on a missing directory raises" fsync_dir_raises;
         case "engine: insert/delete/mem/counts" store_basics;
         case "engine: reopen recovers from WAL alone" store_reopen_from_wal;
         case "engine: checkpoint compacts and resets WAL"
