@@ -22,9 +22,31 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+(* One streaming pass over the program: rules go into the rulebase and
+   each fact goes to [on_fact] as soon as it is parsed, so no token or
+   item list is ever built. *)
+let load_program ~on_fact path =
+  let rulebase = D.Rulebase.create () in
+  let queries =
+    D.Parser.fold_program
+      (fun queries -> function
+        | D.Parser.Clause c when D.Clause.is_fact c ->
+          on_fact c.D.Clause.head;
+          queries
+        | D.Parser.Clause c ->
+          D.Rulebase.add rulebase c;
+          queries
+        | D.Parser.Query q -> q :: queries)
+      [] (read_file path)
+  in
+  (rulebase, List.rev queries)
+
 let load_kb path =
-  let rules, facts, queries = D.Parser.parse_kb (read_file path) in
-  (D.Rulebase.of_list rules, D.Database.of_list facts, queries)
+  let db = D.Database.create () in
+  let rulebase, queries =
+    load_program ~on_fact:(fun f -> ignore (D.Database.add db f)) path
+  in
+  (rulebase, db, queries)
 
 (* ---------- common arguments ---------- *)
 
@@ -510,16 +532,38 @@ let run_serve file host port max_conns state_dir
     metrics_port log_level log_file slow_query_ms data_dir buffer_pages loops
     idle_timeout_s max_conns_per_ip max_write_buf_mb max_write_total_mb
     no_lifecycle flight_capacity =
-  let rulebase, db, _ = load_kb file in
-  let db =
+  let rulebase, db =
     match data_dir with
-    | None -> db
+    | None ->
+      let rulebase, db, _ = load_kb file in
+      (rulebase, db)
     | Some dir ->
       let paged = D.Database.open_paged ~dir ?buffer_pages () in
-      if D.Database.size paged = 0 then begin
-        (* Cold start: bulk-load the program's facts, then checkpoint so
-           restarts replay a compact image instead of the load's WAL. *)
-        D.Database.iter (fun fact -> ignore (D.Database.add paged fact)) db;
+      (* Cold start: stream the program's facts straight into the store.
+         Warm start: the facts are already there, so skip them. *)
+      let cold = D.Database.size paged = 0 in
+      let on_fact =
+        if cold then fun f -> ignore (D.Database.add paged f) else ignore
+      in
+      let rulebase =
+        match load_program ~on_fact file with
+        | rulebase, _ -> rulebase
+        | exception e ->
+          (* A program that fails to parse partway leaves a cold store
+             empty again, so the next start is cold too rather than warm
+             over part of the facts. *)
+          if cold then begin
+            List.iter
+              (fun f -> ignore (D.Database.remove paged f))
+              (D.Database.to_list paged);
+            D.Database.checkpoint paged
+          end;
+          D.Database.close paged;
+          raise e
+      in
+      if cold then begin
+        (* Checkpoint so restarts replay a compact image instead of the
+           load's WAL. *)
         D.Database.checkpoint paged;
         Fmt.pr "strategem serve: store: loaded %d fact(s)@."
           (D.Database.size paged)
@@ -527,7 +571,7 @@ let run_serve file host port max_conns state_dir
       else
         Fmt.pr "strategem serve: store: warm start (%d fact(s))@."
           (D.Database.size paged);
-      paged
+      (rulebase, paged)
   in
   let learner_config =
     {

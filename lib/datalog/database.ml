@@ -12,8 +12,17 @@ module First_tbl = Hashtbl.Make (First_arg)
 
 (* ---------- the in-memory backend ---------- *)
 
+(* One predicate's facts. [count] is kept in step with [facts] by [m_add]
+   and [m_remove], so a fact count is O(1): SLD asks it of every positive
+   goal, and [Atom_set.cardinal] would walk the whole predicate. *)
+type pred_facts = {
+  pred : Symbol.t;
+  mutable facts : Atom_set.t;
+  mutable count : int;
+}
+
 type mem = {
-  by_pred : (int, Atom_set.t ref) Hashtbl.t;
+  by_pred : (int, pred_facts) Hashtbl.t;
   by_first : Atom_set.t ref First_tbl.t;
   (* [size] and [generation] are read by cache-invalidation checks on
      serve-path worker domains while a mutator may be mid-[add]; atomics
@@ -44,13 +53,13 @@ let first_key fact =
   | Term.Const c :: _ -> Some (Symbol.id fact.Atom.pred, Symbol.id c)
   | _ -> None
 
-let find_pred m pred_id =
-  match Hashtbl.find_opt m.by_pred pred_id with
-  | Some r -> r
+let find_pred m pred =
+  match Hashtbl.find_opt m.by_pred (Symbol.id pred) with
+  | Some e -> e
   | None ->
-    let r = ref Atom_set.empty in
-    Hashtbl.add m.by_pred pred_id r;
-    r
+    let e = { pred; facts = Atom_set.empty; count = 0 } in
+    Hashtbl.add m.by_pred (Symbol.id pred) e;
+    e
 
 let find_first m key =
   match First_tbl.find_opt m.by_first key with
@@ -62,10 +71,11 @@ let find_first m key =
 
 let m_add m fact =
   if not (Atom.is_ground fact) then invalid_arg "Database.add: non-ground fact";
-  let set = find_pred m (Symbol.id fact.Atom.pred) in
-  if Atom_set.mem fact !set then false
+  let e = find_pred m fact.Atom.pred in
+  if Atom_set.mem fact e.facts then false
   else begin
-    set := Atom_set.add fact !set;
+    e.facts <- Atom_set.add fact e.facts;
+    e.count <- e.count + 1;
     (match first_key fact with
     | Some key ->
       let s = find_first m key in
@@ -79,10 +89,11 @@ let m_add m fact =
 let m_remove m fact =
   match Hashtbl.find_opt m.by_pred (Symbol.id fact.Atom.pred) with
   | None -> false
-  | Some set ->
-    if not (Atom_set.mem fact !set) then false
+  | Some e ->
+    if not (Atom_set.mem fact e.facts) then false
     else begin
-      set := Atom_set.remove fact !set;
+      e.facts <- Atom_set.remove fact e.facts;
+      e.count <- e.count - 1;
       (match first_key fact with
       | Some key -> (
         match First_tbl.find_opt m.by_first key with
@@ -97,7 +108,7 @@ let m_remove m fact =
 let m_mem m fact =
   match Hashtbl.find_opt m.by_pred (Symbol.id fact.Atom.pred) with
   | None -> false
-  | Some set -> Atom_set.mem fact !set
+  | Some e -> Atom_set.mem fact e.facts
 
 let m_candidates m pattern =
   match pattern.Atom.args with
@@ -109,13 +120,15 @@ let m_candidates m pattern =
     | None -> Atom_set.empty)
   | _ -> (
     match Hashtbl.find_opt m.by_pred (Symbol.id pattern.Atom.pred) with
-    | Some s -> !s
+    | Some e -> e.facts
     | None -> Atom_set.empty)
 
 let m_count_pred_id m pred_id =
   match Hashtbl.find_opt m.by_pred pred_id with
-  | Some s -> Atom_set.cardinal !s
+  | Some e -> e.count
   | None -> 0
+
+let m_iter f m = Hashtbl.iter (fun _ e -> Atom_set.iter f e.facts) m.by_pred
 
 (* ---------- the paged backend ---------- *)
 
@@ -369,12 +382,12 @@ let count_pred db name = count_pred_id db (Symbol.id (Symbol.intern name))
 
 let rec iter f db =
   match db with
-  | Mem m -> Hashtbl.iter (fun _ set -> Atom_set.iter f !set) m.by_pred
+  | Mem m -> m_iter f m
   | Paged p ->
     Store.iter_all p.store (fun ~pred args -> f (atom_of p pred args))
   | Overlay o ->
     iter (fun fact -> if not (m_mem o.removed fact) then f fact) o.base;
-    Hashtbl.iter (fun _ set -> Atom_set.iter f !set) o.added.by_pred
+    m_iter f o.added
 
 let fold f db init =
   let acc = ref init in
@@ -401,31 +414,33 @@ let copy db =
         o_generation = Atomic.make 0;
       }
 
-let predicates db =
+let rec predicates db =
+  let sorted l = List.sort (fun (a, _) (b, _) -> Symbol.compare a b) l in
   match db with
   | Mem m ->
     Hashtbl.fold
-      (fun _ set acc ->
-        match Atom_set.choose_opt !set with
-        | None -> acc
-        | Some fact -> (fact.Atom.pred, Atom_set.cardinal !set) :: acc)
+      (fun _ e acc -> if e.count > 0 then (e.pred, e.count) :: acc else acc)
       m.by_pred []
-    |> List.sort (fun (a, _) (b, _) -> Symbol.compare a b)
+    |> sorted
   | Paged p ->
     Store.pred_counts p.store
     |> List.map (fun (sid, n) -> (sym_of_sid p sid, n))
-    |> List.sort (fun (a, _) (b, _) -> Symbol.compare a b)
-  | Overlay _ ->
-    let tbl = Hashtbl.create 32 in
-    iter
-      (fun fact ->
-        let id = Symbol.id fact.Atom.pred in
-        match Hashtbl.find_opt tbl id with
-        | Some (_, n) -> Hashtbl.replace tbl id (fact.Atom.pred, n + 1)
-        | None -> Hashtbl.add tbl id (fact.Atom.pred, 1))
-      db;
-    Hashtbl.fold (fun _ pair acc -> pair :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> Symbol.compare a b)
+    |> sorted
+  | Overlay o ->
+    (* A predicate is present if the base or the added delta has it;
+       its count is the overlay's O(1) [count_pred_id]. *)
+    let preds = Hashtbl.create 32 in
+    List.iter
+      (fun (p, _) -> Hashtbl.replace preds (Symbol.id p) p)
+      (predicates o.base);
+    Hashtbl.iter
+      (fun id e -> if e.count > 0 then Hashtbl.replace preds id e.pred)
+      o.added.by_pred;
+    Hashtbl.fold
+      (fun id p acc ->
+        match count_pred_id db id with 0 -> acc | n -> (p, n) :: acc)
+      preds []
+    |> sorted
 
 let pp ppf db =
   let facts = List.sort Atom.compare (to_list db) in

@@ -17,7 +17,15 @@ type item =
   | Clause of Clause.t
   | Query of Clause.lit list
 
+(** A syntax error with where it starts. The same exception as
+    {!Lexer.Lex_error}, so lexical errors are caught by this name too. *)
 exception Parse_error of string * Lexer.position
+
+(** [fold_program f init text] folds [f] over the program's items in
+    order. Each item is handed to [f] as soon as it is parsed, so neither
+    a token list nor an item list is built; a syntax error is raised when
+    the parse reaches it, after [f] has seen the items before it. *)
+val fold_program : ('a -> item -> 'a) -> 'a -> string -> 'a
 
 (** Parse a whole program. *)
 val parse_program : string -> item list
@@ -34,5 +42,5 @@ val parse_atom : string -> Atom.t
 (** Parse a query body, e.g. ["?- p(X), not q(X)."] or ["p(X), not q(X)"]. *)
 val parse_query : string -> Clause.lit list
 
-(** Split a program into (rules, facts, queries). *)
+(** Split a program into (rules, facts, queries): a {!fold_program}. *)
 val parse_kb : string -> Clause.t list * Atom.t list * Clause.lit list list

@@ -33,6 +33,8 @@ let rules_for rb pred =
   | Some r -> List.rev !r
   | None -> []
 
+let has_rules rb pred = Hashtbl.mem rb.by_head (Symbol.id pred)
+
 let resolving rb ~gen goal =
   List.filter_map
     (fun clause ->

@@ -18,6 +18,10 @@ val size : t -> int
 (** Rules whose head predicate is the given one, in insertion order. *)
 val rules_for : t -> Symbol.t -> Clause.t list
 
+(** [has_rules rb pred] = [rules_for rb pred <> []], without building the
+    list. *)
+val has_rules : t -> Symbol.t -> bool
+
 (** Rules whose head unifies with the goal, each paired with the unifier of
     head and goal (clauses are standardized apart at generation [gen]). *)
 val resolving : t -> gen:int -> Atom.t -> (Clause.t * Subst.t) list

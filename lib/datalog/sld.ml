@@ -15,10 +15,11 @@ let fresh_stats () =
     truncated = false;
   }
 
-(* Subgoal memoization ("tabling-lite"): completed ground subgoals map to a
-   boolean proved/failed verdict. Entries record the database token and
-   generation they were computed at and are invalidated lazily on lookup, so
-   the table can outlive individual queries and be shared across requests. *)
+(* Subgoal memoization ("tabling-lite"): completed ground derived subgoals
+   (see [memoizable]) map to a boolean proved/failed verdict. Entries record
+   the database token and generation they were computed at and are
+   invalidated lazily on lookup, so the table can outlive individual queries
+   and be shared across requests. *)
 module Memo = struct
   module Tbl = Hashtbl.Make (struct
     type t = Atom.t
@@ -119,6 +120,12 @@ module Memo = struct
       t.shards
 end
 
+(* Only a goal with rules is worth a memo entry. A base-fact goal is one
+   first-argument-indexed lookup, so an entry for it would duplicate the
+   index and still pay a shard mutex and an allocation. *)
+let memoizable rulebase atom =
+  Atom.is_ground atom && Rulebase.has_rules rulebase atom.Atom.pred
+
 type config = {
   rulebase : Rulebase.t;
   db : Database.t;
@@ -180,7 +187,7 @@ let rec prove cfg stats gen depth sp s goals : Subst.t Seq.t =
       | Some (Clause.Pos atom, rest) -> (
         let atom = Subst.apply_atom s atom in
         match cfg.memo with
-        | Some _ when Atom.is_ground atom ->
+        | Some _ when memoizable cfg.rulebase atom ->
           (* A ground subgoal adds no bindings: its subtree is a pure
              existence test, so one memoized verdict stands in for every
              backtrack into it. *)
@@ -198,11 +205,12 @@ let rec prove cfg stats gen depth sp s goals : Subst.t Seq.t =
         in
         let holds =
           (* Sub-proof for the NAF test; shares counters and depth budget.
-             The tested atom is ground (guaranteed by [select]), so it is
-             memoizable like any other ground subgoal. *)
+             The tested atom is ground (guaranteed by [select]), so it goes
+             through the memo like any other ground subgoal. *)
           match cfg.memo with
-          | Some _ -> memo_prove cfg stats gen (depth + 1) sp' atom
-          | None ->
+          | Some _ when memoizable cfg.rulebase atom ->
+            memo_prove cfg stats gen (depth + 1) sp' atom
+          | _ ->
             not
               (Seq.is_empty
                  (prove cfg stats gen (depth + 1) sp' Subst.empty
@@ -214,7 +222,7 @@ let rec prove cfg stats gen depth sp s goals : Subst.t Seq.t =
    of [prove] so [memo_prove] can expand the goal it is memoizing without
    re-entering the memo check for that same goal. *)
 and expand cfg stats gen depth sp s atom rest =
-  let has_rules = Rulebase.rules_for cfg.rulebase atom.Atom.pred <> [] in
+  let has_rules = Rulebase.has_rules cfg.rulebase atom.Atom.pred in
   let has_facts = Database.count_pred_id cfg.db (Symbol.id atom.Atom.pred) > 0 in
   let from_facts () =
     (* Database retrieval: a satisficing engine pays for the attempt

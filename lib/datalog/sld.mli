@@ -24,7 +24,8 @@ type stats = {
 val fresh_stats : unit -> stats
 
 (** Subgoal memoization ("tabling-lite"): a thread-safe, sharded table of
-    completed ground-subgoal verdicts. A ground subgoal adds no bindings, so
+    completed verdicts for {!memoizable} (ground, derived) subgoals. A
+    ground subgoal adds no bindings, so
     its whole subtree collapses to one boolean; memoizing it makes shared
     subtrees within a derivation — and, when the same table is passed to
     successive configs, across queries — cost one lookup after the first
@@ -65,6 +66,12 @@ module Memo : sig
   val counters : t -> counters
 end
 
+(** [memoizable rulebase atom] — whether a memo table records [atom]:
+    it is ground and its predicate has rules. A base-fact goal is one
+    first-argument-indexed retrieval, so a memo entry for it would only
+    duplicate the database index. *)
+val memoizable : Rulebase.t -> Atom.t -> bool
+
 type config = {
   rulebase : Rulebase.t;
   db : Database.t;
@@ -80,7 +87,7 @@ type config = {
           negation-as-failure sub-proof nests under a cost-0 [naf] span. *)
   parent : Trace.span;  (** span the derivation reports under *)
   memo : Memo.t option;
-      (** When set, ground positive subgoals (including NAF tests, which are
+      (** When set, {!memoizable} subgoals (including NAF tests, which are
           ground by selection) are proved through the memo table. Off by
           default: memoization changes [stats] (that is the point) though
           never the answers. Memo hits emit a [memo_hit] trace event. *)

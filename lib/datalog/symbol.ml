@@ -5,12 +5,16 @@ type t = { id : int; name : string }
    symbol that is already interned — every atom of every query re-interns
    its predicate and constants — so the read path must not contend:
 
-   - Reads go through an immutable open-addressing table (the
-     "snapshot") published via [Atomic]. Each slot is its own [Atomic.t]
-     holding either the shared [dummy] sentinel or an interned symbol;
-     slot reads are acquire loads, so a symbol observed through a slot
-     is always fully initialized. A lookup is hash + probe + string
-     compare: no lock, no allocation.
+   - Reads go through an open-addressing table (the "snapshot")
+     published via [Atomic]. A slot is one word of a plain array,
+     holding either the shared [dummy] sentinel or an interned symbol.
+     A reader racing an insert reads that word without synchronization,
+     which the OCaml 5 memory model makes safe: a racy read returns
+     some value that was written to the location (here [dummy] or the
+     new symbol, never a torn word), and a block reached through such a
+     read is seen with its initialising writes (a symbol observed in a
+     slot always has its [id] and [name]). A lookup is hash + probe +
+     string compare: no lock, no allocation.
    - Inserts (rare after warmup) serialize on a mutex. A new symbol is
      published by a single slot store into the current snapshot; the
      snapshot array is only rebuilt (copy + rehash, swapped in with one
@@ -23,9 +27,9 @@ type t = { id : int; name : string }
 
 let dummy = { id = -1; name = "" }
 
-type snap = { mask : int; slots : t Atomic.t array }
+type snap = { mask : int; slots : t array }
 
-let make_snap n = { mask = n - 1; slots = Array.init n (fun _ -> Atomic.make dummy) }
+let make_snap n = { mask = n - 1; slots = Array.make n dummy }
 
 (* 2048 slots holds the first 1024 symbols without a rebuild. *)
 let snapshot = Atomic.make (make_snap 2048)
@@ -37,7 +41,7 @@ let next = Atomic.make 0
    recursion (not a local closure) so the interned fast path allocates
    nothing. *)
 let rec probe_from slots mask name i =
-  let s = Atomic.get (Array.unsafe_get slots (i land mask)) in
+  let s = Array.unsafe_get slots (i land mask) in
   if s == dummy then dummy
   else if String.equal s.name name then s
   else probe_from slots mask name (i + 1)
@@ -48,8 +52,10 @@ let find_in snap name h = probe_from snap.slots snap.mask name h
    hold the mutex, so the found slot cannot be filled concurrently. *)
 let insert_in snap sym h =
   let rec probe i =
-    let slot = Array.unsafe_get snap.slots (i land snap.mask) in
-    if Atomic.get slot == dummy then Atomic.set slot sym else probe (i + 1)
+    let j = i land snap.mask in
+    if Array.unsafe_get snap.slots j == dummy then
+      Array.unsafe_set snap.slots j sym
+    else probe (i + 1)
   in
   probe h
 
@@ -73,8 +79,7 @@ let intern name =
              one swap; readers keep using the old snapshot meanwhile. *)
           let bigger = make_snap (2 * n_slots) in
           Array.iter
-            (fun slot ->
-              let s = Atomic.get slot in
+            (fun s ->
               if s != dummy then insert_in bigger s (Hashtbl.hash s.name))
             snap.slots;
           insert_in bigger sym h;

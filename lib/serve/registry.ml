@@ -194,7 +194,8 @@ let answer ?(tracer = Trace.null) ?parent ?cache ?memo t ~db q =
               (* Memoized ground-subgoal verdicts seeded from the general
                  run: every enumerated answer instantiates the query to a
                  ground fact-of-the-form that later, more specific SLD
-                 runs can take as proved. *)
+                 runs can take as proved. Seeding follows the engine's own
+                 rule: only derived goals get an entry. *)
               (match (memo, a.Core.Live.enumerated) with
               | Some m, Some en ->
                 let token = D.Database.token db
@@ -202,7 +203,7 @@ let answer ?(tracer = Trace.null) ?parent ?cache ?memo t ~db q =
                 List.iter
                   (fun s ->
                     let inst = D.Subst.apply_atom s q in
-                    if D.Atom.is_ground inst then
+                    if D.Sld.memoizable t.rulebase inst then
                       D.Sld.Memo.add m ~token ~gen inst true)
                   en.D.Sld.answers
               | _ -> ())

@@ -545,6 +545,87 @@ let memo_never_caches_truncated () =
   let deep = D.Sld.config ~memo ~rulebase ~db () in
   check_bool "deep search still proves it" true (D.Sld.provable deep q)
 
+(* The memo holds derived goals only. A genealogy stream over derived and
+   base-fact forms, bound and free, goes through [Registry.answer] three
+   ways: plain, with a memo, and with a subsuming cache plus a memo (whose
+   fills seed the memo). No memo may hold a base-fact goal, and the memo
+   arms must give the plain arm's answers and learner trajectories. *)
+let memo_derived_goals_only () =
+  let rulebase = Workload.Genealogy.rulebase () in
+  let pop = Workload.Genealogy.populate (Stats.Rng.create 5L) ~n_people:200 in
+  let db = Workload.Genealogy.db pop in
+  let people = Array.of_list (Workload.Genealogy.people pop) in
+  let arm ~cache ~memo =
+    let reg = Serve.Registry.create ~rulebase (Serve.Metrics.create ()) in
+    let cache =
+      if cache then
+        Some (Cache.Answers.create ~subsume:true ~capacity_bytes:(1 lsl 20) ())
+      else None
+    in
+    (reg, cache, (if memo then Some (D.Sld.Memo.create ()) else None))
+  in
+  let plain = arm ~cache:false ~memo:false in
+  let memo_only = arm ~cache:false ~memo:true in
+  let cached = arm ~cache:true ~memo:true in
+  let preds = [| "relative"; "sibling"; "spouse" |] in
+  let rng = Stats.Rng.create 9L in
+  let queries =
+    List.init 400 (fun i ->
+        if i mod 17 = 0 then "relative(X)"
+        else if i mod 19 = 0 then "mother_probe(X)"
+        else
+          Printf.sprintf "%s(%s)" preds.(Stats.Rng.int rng 3)
+            people.(Stats.Rng.int rng 40))
+  in
+  let go (reg, cache, memo) q = Serve.Registry.answer reg ?cache ?memo ~db q in
+  List.iteri
+    (fun i text ->
+      let q = atom text in
+      let p = go plain q in
+      List.iter
+        (fun (name, a) ->
+          let tag = Printf.sprintf "query %d (%s, %s)" i text name in
+          check_bool (tag ^ ": same answer") true
+            (Option.is_some a.Core.Live.result
+            = Option.is_some p.Core.Live.result);
+          check_float (tag ^ ": same paper cost") p.Core.Live.cost
+            a.Core.Live.cost;
+          check_bool (tag ^ ": same switch decision") true
+            (a.Core.Live.switched = p.Core.Live.switched))
+        [ ("memo", go memo_only q); ("cache+memo", go cached q) ])
+    queries;
+  let snap (reg, _, _) form =
+    let e = Serve.Registry.find_or_create reg (atom form) in
+    Serve.Registry.with_live e (fun live ->
+        Core.Learner.serialize (Core.Live.learner live))
+  in
+  List.iter
+    (fun form ->
+      check_string (form ^ ": memo arm learner") (snap plain form)
+        (snap memo_only form);
+      check_string (form ^ ": cache+memo arm learner") (snap plain form)
+        (snap cached form))
+    [ "relative(q)"; "relative(X)"; "sibling(q)"; "spouse(q)"; "mother_probe(X)" ];
+  let token = D.Database.token db and gen = D.Database.generation db in
+  let edb = D.Rulebase.edb_preds rulebase in
+  List.iter
+    (fun (name, (_, _, memo)) ->
+      let memo = Option.get memo in
+      check_bool (name ^ ": derived goals memoized") true
+        ((D.Sld.Memo.counters memo).D.Sld.Memo.entries > 0);
+      (* Every goal the stream can pose of a rule-free predicate. *)
+      Array.iter
+        (fun person ->
+          List.iter
+            (fun pred ->
+              let goal = D.Atom.make_sym pred [ D.Term.const person ] in
+              if D.Sld.Memo.find memo ~token ~gen goal <> None then
+                Alcotest.failf "%s: base-fact goal %s memoized" name
+                  (D.Atom.to_string goal))
+            edb)
+        people)
+    [ ("memo", memo_only); ("cache+memo", cached) ]
+
 (* ---------- Learner conformance ---------- *)
 
 (* The acceptance criterion of the caching layer: an identical query
@@ -792,6 +873,8 @@ let suite =
         case "truncated results never recorded" memo_never_caches_truncated;
         case "seeded verdicts are token/generation scoped" memo_seeded_verdicts;
         case "registry seeds ground instances from fills" registry_seeds_memo;
+        slow_case "derived goals only, same answers and learners"
+          memo_derived_goals_only;
       ] );
     ( "cache.conformance",
       [

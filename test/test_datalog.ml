@@ -274,6 +274,83 @@ let parser_kb () =
   check_int "facts" 1 (List.length facts);
   check_int "queries" 1 (List.length queries)
 
+(* The items a program parses to, pinned as a count and a digest of the
+   printed items. The digests were taken with the earlier token-list
+   lexer, so they show the pull lexer parses the same programs to the
+   same items. *)
+let item_string = function
+  | D.Parser.Clause c -> D.Clause.to_string c
+  | D.Parser.Query q ->
+    "?- " ^ String.concat ", " (List.map (Format.asprintf "%a" D.Clause.pp_lit) q)
+
+let items_summary text =
+  let items = D.Parser.parse_program text in
+  ( List.length items,
+    Digest.to_hex (Digest.string (String.concat "\n" (List.map item_string items)))
+  )
+
+(* A genealogy program as servebench writes one: rules, then one fact a
+   line (sorted by text, so the order does not depend on symbol ids). *)
+let genealogy_program ~n_people =
+  let pop =
+    Workload.Genealogy.populate (Stats.Rng.create 7L) ~n_people
+  in
+  let facts =
+    D.Database.to_list (Workload.Genealogy.db pop)
+    |> List.map (fun a -> D.Atom.to_string a ^ ".")
+    |> List.sort String.compare
+  in
+  Workload.Genealogy.rules_text ^ String.concat "\n" facts ^ "\n"
+
+let parser_pinned_items () =
+  let read_file path =
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () -> really_input_string ic (in_channel_length ic))
+  in
+  let check name text expected =
+    Alcotest.(check (pair int string)) name expected (items_summary text)
+  in
+  check "university.dl"
+    (read_file "../examples/data/university.dl")
+    (7, "e8539b251d9a3f5b77cb7040c42f106f");
+  check "genealogy rules" Workload.Genealogy.rules_text
+    (13, "bb07354eb46175c141817f1a19f49101");
+  check "10k-person genealogy program"
+    (genealogy_program ~n_people:10_000)
+    (6003, "2a8f914a16f3d0aee462746092238051")
+
+(* Syntax errors carry the line and column where the bad token starts.
+   A lexical error is a [Parse_error] too, so a caller that catches only
+   [Parse_error] (the serve path's query parser) catches it. *)
+let parser_error_positions () =
+  let position name f text expected =
+    match f text with
+    | _ -> Alcotest.failf "%s: parsed without error" name
+    | exception D.Parser.Parse_error (_, p) ->
+      Alcotest.(check (pair int int)) name expected (p.D.Lexer.line, p.D.Lexer.col)
+  in
+  let clause t = ignore (D.Parser.parse_clause t) in
+  let atom_only t = ignore (D.Parser.parse_atom t) in
+  position "':' without '-'" clause "p(X) : q(X)." (1, 6);
+  position "missing '.'" clause "p(a)\nq(b)." (2, 1);
+  position "trailing input after an atom" atom_only "p(a) q" (1, 6);
+  position "bad character" atom_only "p(&)" (1, 3)
+
+(* [fold_program] hands each item over as soon as it is parsed: the items
+   before a syntax error have been seen when the error is raised. *)
+let parser_fold_streams () =
+  let seen = ref 0 in
+  (match
+     D.Parser.fold_program
+       (fun () _ -> incr seen)
+       () "p(a).\nq(X) :- p(X).\n?- q(a).\nr(b) oops."
+   with
+  | () -> Alcotest.fail "parsed without error"
+  | exception D.Parser.Parse_error _ -> ());
+  check_int "items seen before the error" 3 !seen
+
 (* ---------- Database ---------- *)
 
 let database_basics () =
@@ -849,6 +926,9 @@ let suite =
         case "quoted and numbers" parser_quoted_and_numbers;
         case "naf synonym" parser_naf_synonym;
         case "kb split" parser_kb;
+        case "same items as the token-list parser" parser_pinned_items;
+        case "error positions" parser_error_positions;
+        case "fold hands items over as parsed" parser_fold_streams;
       ] );
     ( "datalog.database",
       [

@@ -492,6 +492,74 @@ let db_paged_persistence () =
         (D.Database.store_stats db2 <> None);
       D.Database.close db2)
 
+(* Fact counts are kept incrementally, so they must follow every kind of
+   step: a new add, a duplicate add, a remove of a present or an absent
+   fact. After each step of a random sequence, [count_pred_id] and
+   [predicates] must agree with what [iter] yields, on an in-memory
+   database and on the overlay a copy of a paged one returns. *)
+let count_preds = [| "cp"; "cq"; "cr" |]
+let count_consts = [| "a"; "b"; "c" |]
+
+let counts_agree db =
+  let by_iter = Hashtbl.create 8 in
+  D.Database.iter
+    (fun f ->
+      let id = D.Symbol.id f.D.Atom.pred in
+      Hashtbl.replace by_iter id
+        (1 + Option.value ~default:0 (Hashtbl.find_opt by_iter id)))
+    db;
+  let iterated id = Option.value ~default:0 (Hashtbl.find_opt by_iter id) in
+  Array.for_all
+    (fun name ->
+      let id = D.Symbol.id (D.Symbol.intern name) in
+      D.Database.count_pred_id db id = iterated id)
+    count_preds
+  && List.map (fun (p, n) -> (D.Symbol.id p, n)) (D.Database.predicates db)
+     = List.sort compare (Hashtbl.fold (fun id n acc -> (id, n) :: acc) by_iter [])
+
+(* Ops: 0 add, 1 remove, 2 add twice (the second is a duplicate). *)
+let gen_count_steps =
+  QCheck2.Gen.(
+    let fact =
+      map3
+        (fun p x y ->
+          atom
+            (Printf.sprintf "%s(%s, %s)" count_preds.(p) count_consts.(x)
+               count_consts.(y)))
+        (int_range 0 2) (int_range 0 2) (int_range 0 2)
+    in
+    pair (list_size (int_range 0 8) fact)
+      (list_size (int_range 1 40) (pair (int_range 0 2) fact)))
+
+let apply_count_step db (op, fact) =
+  match op with
+  | 0 -> ignore (D.Database.add db fact)
+  | 1 -> ignore (D.Database.remove db fact)
+  | _ ->
+    ignore (D.Database.add db fact);
+    ignore (D.Database.add db fact)
+
+let counts_follow_mutations =
+  qcheck "database: counts follow add/remove/duplicate add" ~count:60
+    gen_count_steps (fun (base_facts, steps) ->
+      let mem = D.Database.create () in
+      List.iter (fun f -> ignore (D.Database.add mem f)) base_facts;
+      with_dir (fun dir ->
+          let paged = D.Database.open_paged ~dir ~wal_sync:Store.Never () in
+          List.iter (fun f -> ignore (D.Database.add paged f)) base_facts;
+          let overlay = D.Database.copy paged in
+          let ok =
+            counts_agree mem && counts_agree overlay
+            && List.for_all
+                 (fun step ->
+                   apply_count_step mem step;
+                   apply_count_step overlay step;
+                   counts_agree mem && counts_agree overlay)
+                 steps
+          in
+          D.Database.close paged;
+          ok))
+
 let suite =
   [
     ( "store",
@@ -512,5 +580,6 @@ let suite =
         case "database: SLD over the paged backend" db_paged_sld;
         case "database: COW copy never perturbs the base" db_paged_copy_cow;
         case "database: token/generation survive restart" db_paged_persistence;
+        counts_follow_mutations;
       ] );
   ]

@@ -105,9 +105,9 @@ cache_entries 5
 cache_bytes 1632
 cache_capacity_bytes 67108864
 memo_hits 0
-memo_misses 1
+memo_misses 0
 memo_invalidations 0
-memo_entries 5
+memo_entries 4
 cache_subsume_enabled 1
 cache_derived_hits 3
 cache_derived_scan_entries 3
@@ -135,7 +135,7 @@ form instructor_1_f queries 1 answered 1 climbs 0 mean_us _ p50_us _ p95_us _ p9
 form prof_1_b queries 1 answered 1 climbs 0 mean_us _ p50_us _ p95_us _ p99_us _ strategy ⟨D_prof⟩|}
 
 let expected_json =
-  {|{"schema":2,"uptime_seconds":_,"connections_total":1,"queries_total":6,"answered_total":5,"climbs_total":0,"busy_total":0,"errors_total":0,"snapshots_total":0,"forms_loaded":0,"forms_active":3,"domains":1,"protocol":{"backend":"epoll","frame_version":4,"conns_open":1,"pipeline_depth":1,"pipeline_depth_high_water":1},"loops":{"count":1,"write_overflow_total":0,"write_shed_bytes_total":0,"idle_closed_total":0,"ip_limited_total":0,"per_loop":[{"id":0,"conns":1,"wakeups":1,"pipeline_depth":1}]},"lifecycle":{"requests_total":9,"traces_retained_total":0},"cache":{"version":1,"enabled":true,"hits":1,"misses":2,"evictions":0,"invalidations":0,"entries":5,"bytes":1632,"capacity_bytes":67108864,"memo":{"hits":0,"misses":1,"invalidations":0,"entries":5},"subsume":{"enabled":true,"derived_hits":3,"derived_scan_entries":3,"subsume_misses":2,"index_keys":1}},"store":{"version":1,"page_size_bytes":4096,"pages":2,"pool_pages":4,"pool_hits":11,"pool_misses":4,"pool_evictions":0,"page_reads":2,"page_writes":0,"wal_bytes":0,"wal_appends":10,"wal_syncs":1,"checkpoints":1,"checkpoint_age_seconds":_,"facts":4,"symbols":6,"generation":4},"forms":{"instructor_1_b":{"queries":4,"answered":3,"climbs":0,"mean_us":_,"p50_us":_,"p95_us":_,"p99_us":_,"strategy":"⟨R_instructor_prof D_prof R_instructor_grad D_grad⟩"},"instructor_1_f":{"queries":1,"answered":1,"climbs":0,"mean_us":_,"p50_us":_,"p95_us":_,"p99_us":_,"strategy":"⟨R_instructor_prof D_prof R_instructor_grad D_grad⟩"},"prof_1_b":{"queries":1,"answered":1,"climbs":0,"mean_us":_,"p50_us":_,"p95_us":_,"p99_us":_,"strategy":"⟨D_prof⟩"}}}|}
+  {|{"schema":2,"uptime_seconds":_,"connections_total":1,"queries_total":6,"answered_total":5,"climbs_total":0,"busy_total":0,"errors_total":0,"snapshots_total":0,"forms_loaded":0,"forms_active":3,"domains":1,"protocol":{"backend":"epoll","frame_version":4,"conns_open":1,"pipeline_depth":1,"pipeline_depth_high_water":1},"loops":{"count":1,"write_overflow_total":0,"write_shed_bytes_total":0,"idle_closed_total":0,"ip_limited_total":0,"per_loop":[{"id":0,"conns":1,"wakeups":1,"pipeline_depth":1}]},"lifecycle":{"requests_total":9,"traces_retained_total":0},"cache":{"version":1,"enabled":true,"hits":1,"misses":2,"evictions":0,"invalidations":0,"entries":5,"bytes":1632,"capacity_bytes":67108864,"memo":{"hits":0,"misses":0,"invalidations":0,"entries":4},"subsume":{"enabled":true,"derived_hits":3,"derived_scan_entries":3,"subsume_misses":2,"index_keys":1}},"store":{"version":1,"page_size_bytes":4096,"pages":2,"pool_pages":4,"pool_hits":11,"pool_misses":4,"pool_evictions":0,"page_reads":2,"page_writes":0,"wal_bytes":0,"wal_appends":10,"wal_syncs":1,"checkpoints":1,"checkpoint_age_seconds":_,"facts":4,"symbols":6,"generation":4},"forms":{"instructor_1_b":{"queries":4,"answered":3,"climbs":0,"mean_us":_,"p50_us":_,"p95_us":_,"p99_us":_,"strategy":"⟨R_instructor_prof D_prof R_instructor_grad D_grad⟩"},"instructor_1_f":{"queries":1,"answered":1,"climbs":0,"mean_us":_,"p50_us":_,"p95_us":_,"p99_us":_,"strategy":"⟨R_instructor_prof D_prof R_instructor_grad D_grad⟩"},"prof_1_b":{"queries":1,"answered":1,"climbs":0,"mean_us":_,"p50_us":_,"p95_us":_,"p99_us":_,"strategy":"⟨D_prof⟩"}}}|}
 
 let expected_types =
   {|# TYPE strategem_answers_total counter
